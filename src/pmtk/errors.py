@@ -23,3 +23,7 @@ class FormatError(PmtkError):
 
 class UsageError(PmtkError):
     """An API was called in an unsupported way (e.g. backward on a non-scalar)."""
+
+
+class DivergenceError(PmtkError):
+    """Training produced a non-finite loss (step size too large for the model)."""

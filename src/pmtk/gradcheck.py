@@ -325,9 +325,9 @@ def check_model_micro(seed: int) -> float:
     with the seed, so repeated seeds spread coverage within tensors while
     each run still touches every weight matrix, gain and bias). The
     in-network diffusion gate is held constant in the backward pass, so
-    every probe replays the center-point gates via ``gate_trace``; probing
-    the re-derived gate would differentiate a different function than the
-    tape does.
+    the center-point pass runs under a recording ``GateTrace`` and every
+    probe under one that replays its gates; probing the re-derived gate
+    would differentiate a different function than the tape does.
 
     Probes run through a 64-bit copy of the weights: unlike the per-op suite,
     whose probe closures rebuild their inputs under the 64-bit context, the
@@ -347,7 +347,7 @@ def check_model_micro(seed: int) -> float:
     entries above the floor still face the full relative tolerance.
     """
     from .model import MICRO_PLAN, LossWeights, PMamba, total_loss
-    from .pmd import GateTrace, gate_trace
+    from .pmd import GateTrace
 
     rng = np.random.default_rng(seed)
     model = PMamba(np.random.default_rng(int(rng.integers(1 << 31))),
@@ -362,14 +362,13 @@ def check_model_micro(seed: int) -> float:
     # 32-bit elements past the tolerance). Beyond that, finite differences
     # only resolve gradients at a well-conditioned point. Two hazards are
     # screened for over candidate input draws (deterministic in the seed;
-    # best draw kept):
+    # best draw kept), reading each norm and relu input off the records of
+    # one taped forward:
     #   * a norm channel whose batch variance lands near the normalizer's
     #     eps has curvature ~1/eps^1.5 and defeats any step size;
     #   * a relu pre-activation within ~1e-6 of zero can flip its active set
     #     between the ambient-precision tape pass and the 64-bit probes,
     #     charging that unit's whole downstream contribution to the error.
-    from . import tensor as _tensor_mod
-
     def conditioning(xc) -> float:
         """min(worst norm variance / 3e-5, worst relu margin / 1e-4).
 
@@ -379,25 +378,16 @@ def check_model_micro(seed: int) -> float:
         """
         variances: list[float] = []
         margins: list[float] = []
-        orig_norm = _tensor_mod.norm_affine
-        orig_relu = _tensor_mod.relu
-
-        def norm_spy(a, g, b):
-            xd = a.data[None] if a.data.ndim == 3 else a.data
-            variances.append(float(xd.var(axis=(0, 2, 3)).min()))
-            return orig_norm(a, g, b)
-
-        def relu_spy(a):
-            margins.append(float(np.abs(a.data).min()))
-            return orig_relu(a)
-
-        _tensor_mod.norm_affine = norm_spy
-        _tensor_mod.relu = relu_spy
-        try:
+        with Tape() as tape:
             total_loss(model(Tensor(xc)), target, lw)
-        finally:
-            _tensor_mod.norm_affine = orig_norm
-            _tensor_mod.relu = orig_relu
+        for inputs, _, backward_fn in tape:
+            op = backward_fn.__qualname__.split(".")[0]
+            a = inputs[0].data
+            if op == "norm_affine":
+                xd = a[None] if a.ndim == 3 else a
+                variances.append(float(xd.var(axis=(0, 2, 3)).min()))
+            elif op == "relu":
+                margins.append(float(np.abs(a).min()))
         return min(min(variances) / 3e-5, min(margins) / 1e-4)
 
     target = rng.integers(0, 2, (8, 32, 32))
@@ -411,17 +401,14 @@ def check_model_micro(seed: int) -> float:
             break
     x = best_x
 
-    trace = GateTrace()
     xt = Tensor(x)
-    with gate_trace(trace):
-        with Tape() as tape:
-            loss, _ = total_loss(model(xt), target, lw)
-    grads = backward(tape, loss)
+    with GateTrace() as trace:
+        loss, _ = total_loss(model(xt), target, lw)
+    grads = backward(trace, loss)
     floor = 100.0 * noise_floor_coeff() * max(1.0, abs(float(loss.item())))
 
     def objective() -> float:
-        trace.begin_replay()
-        with gate_trace(trace):
+        with GateTrace(replay=trace.gates):
             val, _ = total_loss(model(xt), target, lw)
         return float(val.item())
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, DivergenceError
 from .pmd import PmdBlock
 from .ssm import PatchEmbed, VimBlockWeights, tokens_to_map, vim_block
 
@@ -279,7 +279,11 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     # 0.1 with momentum 0.9 overflows the conv activations within the first
-    # epochs on the synthetic task; 0.05 is the fastest stable setting tried
+    # epochs on the synthetic task. 0.05 is not reliably stable either: at
+    # batch 8 on 64x64 synthetic data it went non-finite within 37 steps on
+    # seeds 1, 5 and 6 of seeds 0-6, and at batch 2 on 128x128 by step 32.
+    # The benchmark trains at 0.025 (batch 8) and 0.0125 (batch 2); lower
+    # the rate when train_toy raises DivergenceError.
     lr: float = 0.05
     momentum: float = 0.9
     seed: int = 0
@@ -300,7 +304,8 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
 
     Fully determined by cfg.seed: initialization, shuffles and therefore the
     whole trajectory. Writes the metric log incrementally when cfg.log_path
-    is set (header LOG_HEADER).
+    is set (header LOG_HEADER). Raises DivergenceError, naming the epoch and
+    batch, as soon as a batch loss is non-finite, before any update from it.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -323,6 +328,12 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                 with T.Tape() as tape:
                     outputs = model(T.Tensor(images[idx]))
                     loss, parts = total_loss(outputs, masks[idx], cfg.loss_weights)
+                # a step on a non-finite loss would turn the weights into
+                # NaN without any error
+                if not np.isfinite(loss.item()):
+                    raise DivergenceError(
+                        f"non-finite loss {loss.item()} at epoch {epoch}, batch "
+                        f"{batches}; lower the learning rate (lr {cfg.lr})")
                 grads = T.backward(tape, loss)
                 opt.step(grads)
                 for key in sums:

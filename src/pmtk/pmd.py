@@ -14,6 +14,10 @@ Two solvers share one diffusivity g(m) = 1 / (1 + (m/k)^2):
   mode adds the reconstruction of {0, g*lh, g*hl, 0} back onto the input,
   which sharpens rather than smooths and is kept for comparison.
 
+Both wavelet users, ``pmd_step_dwt`` and the tape op ``pmd_apply``, apply a
+gate through one map, ``_gated``; the fd solver and the denoising log share
+one forward-difference helper, ``_forward_diff``.
+
 ``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
 unit. The diffusion gate g is frozen during the backward pass (it is computed
 from forward values and treated as a constant), so gradients flow through the
@@ -22,7 +26,6 @@ step as through a fixed self-adjoint linear map.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +64,19 @@ def diffusivity(grad_mag: np.ndarray, k: float) -> np.ndarray:
     return 1.0 / (1.0 + r * r)
 
 
+def _forward_diff(u: np.ndarray) -> tuple:
+    """(dx, dy, |grad u|) by forward differences on the trailing two axes.
+
+    The last column of dx and last row of dy are zero: with a reflective
+    boundary the outermost difference, and so the outermost flux, vanishes.
+    """
+    dx = np.zeros_like(u)
+    dy = np.zeros_like(u)
+    dx[..., :, :-1] = u[..., :, 1:] - u[..., :, :-1]
+    dy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
 def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     """One explicit Euler step of div(g(|grad u|) grad u) on the trailing axes."""
     if cfg.dt > 0.25:
@@ -68,12 +84,8 @@ def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     u = np.asarray(u)
     if u.ndim < 2:
         raise DimensionError(f"need at least 2 axes, got shape {u.shape}")
-    # Forward differences; reflective boundary makes the outermost flux zero.
-    dx = np.zeros_like(u)
-    dy = np.zeros_like(u)
-    dx[..., :, :-1] = u[..., :, 1:] - u[..., :, :-1]
-    dy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
-    g = diffusivity(np.sqrt(dx * dx + dy * dy), cfg.k)
+    dx, dy, mag = _forward_diff(u)
+    g = diffusivity(mag, cfg.k)
     px = g * dx
     py = g * dy
     # Backward-difference divergence; missing terms at the low edge are the
@@ -84,15 +96,22 @@ def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     return u + cfg.dt * div
 
 
-def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
-    """One wavelet-domain diffusion step on the trailing two axes."""
-    s = dwt2(u)
-    m = diffusivity(detail_magnitude(s), cfg.k)
-    if cfg.mode == "attenuate":
+def _gated(u: np.ndarray, s: SubbandSet, m: np.ndarray, mode: str) -> np.ndarray:
+    """Scale the detail bands ``s`` of ``u`` by the gate ``m`` and synthesize.
+
+    Linear in (u, s) for a fixed gate, and self-adjoint when ``s = dwt2(u)``.
+    """
+    if mode == "attenuate":
         return idwt2(SubbandSet(s.ll, m * s.lh, m * s.hl, s.hh))
     correction = idwt2(SubbandSet(np.zeros_like(s.ll), m * s.lh, m * s.hl,
                                   np.zeros_like(s.hh)))
     return u + correction
+
+
+def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
+    """One wavelet-domain diffusion step on the trailing two axes."""
+    s = dwt2(u)
+    return _gated(u, s, diffusivity(detail_magnitude(s), cfg.k), cfg.mode)
 
 
 def pmd_run(u: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> np.ndarray:
@@ -110,11 +129,7 @@ def pmd_run(u: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> np.ndarray:
 
 def _measurement_masks(u0: np.ndarray) -> tuple:
     """Split pixels by the initial gradient magnitude: flat set vs edge set."""
-    dx = np.zeros_like(u0)
-    dy = np.zeros_like(u0)
-    dx[:, :-1] = u0[:, 1:] - u0[:, :-1]
-    dy[:-1, :] = u0[1:, :] - u0[:-1, :]
-    mag = np.sqrt(dx * dx + dy * dy)
+    mag = _forward_diff(u0)[2]
     flat = mag <= np.median(mag)
     edge = mag >= np.quantile(mag, 0.9)
     return flat, edge
@@ -132,11 +147,7 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
     flat, edge = _measurement_masks(u0)
 
     def measure(u, step):
-        dx = np.zeros_like(u)
-        dy = np.zeros_like(u)
-        dx[:, :-1] = u[:, 1:] - u[:, :-1]
-        dy[:-1, :] = u[1:, :] - u[:-1, :]
-        mag = np.sqrt(dx * dx + dy * dy)
+        mag = _forward_diff(u)[2]
         return (step, float(u[flat].var()), float(mag[edge].mean()))
 
     u = u0.copy()
@@ -287,80 +298,56 @@ def sobel_magnitude(x: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-class GateTrace:
-    """Capture diffusion gates on one forward pass, replay them on later ones.
+class GateTrace(T.Tape):
+    """A tape that records each diffusion gate, or replays recorded ones.
 
     The in-network diffusion holds its gate constant in the backward pass, so
     a finite-difference probe of the training objective must evaluate with the
     gate pinned at its center-point value; letting the probe re-derive the
-    gate would differentiate a different function than the tape does. Blocks
-    call the diffusion in a fixed order, so replay is positional.
+    gate would differentiate a different function than the tape does.
+    ``pmd_apply`` finds this tape through ``T.active_tape()``: under
+    ``GateTrace()`` it computes each gate and appends it to ``gates``; under
+    ``GateTrace(replay=recorded.gates)`` it takes the recorded gates instead,
+    in call order, since blocks call the diffusion in a fixed order. Under any
+    other tape, or none, the gate is computed afresh.
     """
 
-    def __init__(self):
-        self.mode = "record"
-        self.values: list = []
-        self.cursor = 0
+    def __init__(self, replay: list | None = None):
+        super().__init__()
+        self.replay = replay
+        self.gates: list = []
 
-    def begin_replay(self) -> None:
-        self.mode = "replay"
-        self.cursor = 0
-
-    def take(self, compute):
-        if self.mode == "record":
+    def gate(self, compute) -> np.ndarray:
+        if self.replay is None:
             m = compute()
-            self.values.append(m)
-            return m
-        if self.cursor >= len(self.values):
+        elif len(self.gates) < len(self.replay):
+            m = self.replay[len(self.gates)]
+        else:
             raise UsageError("gate replay ran past the recorded trace")
-        m = self.values[self.cursor]
-        self.cursor += 1
+        self.gates.append(m)
         return m
-
-
-_ACTIVE_TRACE: GateTrace | None = None
-
-
-@contextmanager
-def gate_trace(trace: GateTrace):
-    global _ACTIVE_TRACE
-    prev = _ACTIVE_TRACE
-    _ACTIVE_TRACE = trace
-    try:
-        yield trace
-    finally:
-        _ACTIVE_TRACE = prev
 
 
 def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
     """Tape-recorded wavelet diffusion step with the gate g held constant.
 
-    The gate is computed once from the forward values; what remains is a
-    linear, self-adjoint map (per 2x2 block: B diag(1,g,g,1) B with B the
-    symmetric orthogonal Haar butterfly), so the backward pass reapplies the
-    identical map to the incoming gradient.
+    The gate is computed once from the forward values, or taken from an
+    active replaying ``GateTrace``; what remains is a linear, self-adjoint map
+    (per 2x2 block: B diag(1,g,g,1) B with B the symmetric orthogonal Haar
+    butterfly), so the backward pass reapplies the identical map to the
+    incoming gradient.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    s = dwt2(x.data)
 
     def compute_gate():
-        s = dwt2(x.data)
         return diffusivity(detail_magnitude(s), k)
 
-    if _ACTIVE_TRACE is not None:
-        m = _ACTIVE_TRACE.take(compute_gate)
-    else:
-        m = compute_gate()
-
-    def linmap(v):
-        sv = dwt2(v)
-        if mode == "attenuate":
-            return idwt2(SubbandSet(sv.ll, m * sv.lh, m * sv.hl, sv.hh))
-        corr = idwt2(SubbandSet(np.zeros_like(sv.ll), m * sv.lh, m * sv.hl,
-                                np.zeros_like(sv.hh)))
-        return v + corr
-
-    return T.record_op((x,), linmap(x.data), lambda g: (linmap(g),))
+    tape = T.active_tape()
+    m = tape.gate(compute_gate) if isinstance(tape, GateTrace) else compute_gate()
+    return T.record_op((x,), _gated(x.data, s, m, mode),
+                       lambda g: (_gated(g, dwt2(g), m, mode),))
 
 
 PREPROCESS = ("dwt", "none", "sobel")

@@ -117,6 +117,10 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
+    def __iter__(self):
+        """The (inputs, output, backward_fn) records, in recording order."""
+        return iter(self._records)
+
 
 _stack: list[Tape] = []
 

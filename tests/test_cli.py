@@ -106,6 +106,17 @@ def test_train_eval_chain(tmp_path):
     assert lines[-1].startswith("mean,")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_divergence_exits_1_with_message(tmp_path, capsys):
+    root = tmp_path / "data"
+    main(["synth", "--out", str(root), "--count", "8", "--size", "32"])
+    rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"),
+               "--epochs", "2", "--lr", "5.0", "--batch-size", "4"])
+    assert rc == 1
+    assert "non-finite loss nan at epoch 1, batch 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_eval_missing_checkpoint(tmp_path):
     root = tmp_path / "data"
     main(["synth", "--out", str(root), "--count", "6", "--size", "32"])

@@ -1,13 +1,15 @@
 """Plumbing of the finite-difference checker itself.
 
-The heavyweight passes over every op family and the full model live in the
-acceptance suite; here we pin down the comparison helpers the suite is built
-from.
+The fast tests pin down the comparison helpers the suite is built from. The
+full suite over every op family and the micro model (``pmtk gradcheck
+--model``) runs as a slow test: ``pytest -m slow tests/test_gradcheck.py``.
 """
 
 import numpy as np
+import pytest
 
 from pmtk import precision
+from pmtk.cli import main
 from pmtk.gradcheck import (FAMILIES, FAST_FAMILIES, check_scalar_fn,
                             finite_diff_grad, max_rel_err, noise_floor_coeff,
                             run_gradient_suite, tolerance)
@@ -59,3 +61,8 @@ def test_suite_returns_one_row_per_requested_family():
     rows = run_gradient_suite(families=["matmul"], seeds=(0,))
     assert [name for name, _ in rows] == ["matmul"]
     assert rows[0][1] < tolerance()
+
+
+@pytest.mark.slow
+def test_full_suite_with_model_passes():
+    assert main(["gradcheck", "--model"]) == 0

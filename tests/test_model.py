@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtk import tensor as T
-from pmtk.data import Sample
-from pmtk.errors import ConfigError, DimensionError
+from pmtk.data import Sample, SynthConfig, synth_generate
+from pmtk.errors import ConfigError, DimensionError, DivergenceError
 from pmtk.model import (
     MICRO_PLAN,
     LossWeights,
@@ -182,6 +182,17 @@ def test_train_toy_deterministic():
     for (n1, p1), (n2, p2) in zip(m1.named_parameters(), m2.named_parameters()):
         assert n1 == n2
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_toy_raises_on_divergence():
+    # lr 1.0 drives the micro model's loss to NaN in the second epoch; the
+    # error must name the step instead of handing back NaN weights
+    samples = synth_generate(SynthConfig(seed=0, count=8, size=32))
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=1.0, seed=0, size=32,
+                      plan=MICRO_PLAN)
+    with pytest.raises(DivergenceError, match="epoch 1, batch 1"):
+        train_toy(samples, [], cfg)
 
 
 def test_evaluate_reports_per_sample_rows():

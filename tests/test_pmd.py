@@ -12,7 +12,6 @@ from pmtk.pmd import (
     denoise_with_log,
     diffusivity,
     edge_benchmark,
-    gate_trace,
     gaussian_blur,
     matched_blur_sigma,
     pmd_apply,
@@ -241,10 +240,11 @@ def test_sobel_on_linear_ramp():
 # Tape-side diffusion
 # ---------------------------------------------------------------------------
 
-def test_pmd_apply_matches_numpy_step():
+@pytest.mark.parametrize("mode", ["attenuate", "as-written"])
+def test_pmd_apply_matches_numpy_step(mode):
     x = T.Tensor(noise_field(9, (1, 2, 8, 8)))
-    out = pmd_apply(x, k=0.9, mode="attenuate")
-    expect = pmd_step_dwt(x.data, DiffusionConfig(k=0.9, mode="attenuate"))
+    out = pmd_apply(x, k=0.9, mode=mode)
+    expect = pmd_step_dwt(x.data, DiffusionConfig(k=0.9, mode=mode))
     np.testing.assert_array_equal(out.data, expect)
 
 
@@ -258,15 +258,20 @@ def test_pmd_apply_gradient_of_sum_is_ones():
     np.testing.assert_allclose(g, 1.0, atol=1e-12)
 
 
-def test_pmd_apply_backward_reapplies_frozen_gate():
+@pytest.mark.parametrize("mode", ["attenuate", "as-written"])
+def test_pmd_apply_backward_reapplies_frozen_gate(mode):
     x = T.Tensor(noise_field(11, (6, 6)))
     y = T.Tensor(noise_field(12, (6, 6)))
     with T.Tape() as tape:
-        loss = T.tsum(T.mul(pmd_apply(x, k=0.7), y))
+        loss = T.tsum(T.mul(pmd_apply(x, k=0.7, mode=mode), y))
     g = T.grad_of(T.backward(tape, loss), x)
     m = diffusivity(detail_magnitude(dwt2(x.data)), 0.7)
     sy = dwt2(y.data)
-    expect = idwt2(SubbandSet(sy.ll, m * sy.lh, m * sy.hl, sy.hh))
+    if mode == "attenuate":
+        expect = idwt2(SubbandSet(sy.ll, m * sy.lh, m * sy.hl, sy.hh))
+    else:
+        zero = np.zeros_like(sy.ll)
+        expect = y.data + idwt2(SubbandSet(zero, m * sy.lh, m * sy.hl, zero))
     np.testing.assert_allclose(g, expect, atol=1e-12)
 
 
@@ -276,27 +281,27 @@ def test_pmd_apply_rejects_unknown_mode():
 
 
 def test_gate_trace_replays_without_recompute():
-    trace = GateTrace()
     x = T.Tensor(noise_field(13, (8, 8)))
-    with gate_trace(trace):
-        first = pmd_apply(x, k=1.0)
-    assert len(trace.values) == 1
-    trace.begin_replay()
+    with GateTrace() as trace:
+        pmd_apply(x, k=1.0)
+    assert len(trace.gates) == 1
     # replaying against different data must reuse the recorded gate
     x.data = x.data + 0.5
-    with gate_trace(trace):
+    with GateTrace(replay=trace.gates):
         second = pmd_apply(x, k=1.0)
     sx = dwt2(x.data)
-    m = trace.values[0]
+    m = trace.gates[0]
     expect = idwt2(SubbandSet(sx.ll, m * sx.lh, m * sx.hl, sx.hh))
     np.testing.assert_array_equal(second.data, expect)
-    del first
+    # a plain tape derives a fresh gate from the current data on every call
+    with T.Tape():
+        fresh = pmd_apply(x, k=1.0)
+    np.testing.assert_array_equal(fresh.data, pmd_step_dwt(x.data, DiffusionConfig()))
+    assert not np.array_equal(fresh.data, second.data)
 
 
 def test_gate_trace_overrun_raises():
-    trace = GateTrace()
-    trace.begin_replay()
-    with gate_trace(trace):
+    with GateTrace(replay=[]):
         with pytest.raises(UsageError):
             pmd_apply(T.Tensor(np.zeros((4, 4))), k=1.0)
 
