@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .data import (SynthConfig, load_dataset, load_image, save_dataset,
                    save_image, split, synth_generate)
-from .errors import PmtkError
+from .errors import DataError, PmtkError
 from .gradcheck import (FAMILIES, FAST_FAMILIES, check_model_micro,
                         run_gradient_suite, tolerance)
 from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
@@ -104,11 +104,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _nonempty_split(splits: dict, name: str, data) -> list:
+    samples = splits.get(name, [])
+    if not samples:
+        raise DataError(f"split {name!r} is empty in {data}")
+    return samples
+
+
 def cmd_train(args) -> int:
     splits = load_dataset(args.data)
-    train = splits.get("train", [])
-    val = splits.get("val", [])
-    size = train[0].image.shape[-1] if train else 64
+    train = _nonempty_split(splits, "train", args.data)
+    # without validation samples every logged dice would be NaN
+    val = _nonempty_split(splits, "val", args.data)
+    size = train[0].image.shape[-1]
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       lr=args.lr, seed=args.seed, size=size,
                       log_path=args.output + ".log.csv")
@@ -123,10 +131,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    splits = load_dataset(args.data)
-    samples = splits.get(args.split, [])
-    if not samples:
-        raise PmtkError(f"split {args.split!r} is empty in {args.data}")
+    samples = _nonempty_split(load_dataset(args.data), args.split, args.data)
     size = samples[0].image.shape[-1]
     model = PMamba(np.random.default_rng(0), StagePlan(), size)
     serialize.restore_into(model, serialize.load_checkpoint(args.checkpoint))

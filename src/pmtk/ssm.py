@@ -129,18 +129,14 @@ def _linear(x: T.Tensor, W: T.Tensor, b: T.Tensor | None = None) -> T.Tensor:
 
 
 def selective_scan(x: T.Tensor, p: SsmParams) -> T.Tensor:
-    """Input-dependent scan of a token sequence [L, D] or [Bn, L, D]."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = T.reshape(x, (1,) + x.shape)
+    """Input-dependent scan of a token sequence [Bn, L, D]."""
     if x.ndim != 3 or x.shape[2] != p.d:
-        raise DimensionError(f"selective_scan: expected [*, L, {p.d}], got {x.shape}")
+        raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
     delta = T.softplus(_linear(x, p.W_dt, p.b_dt))
     Bmat = _linear(x, p.W_B)
     Cmat = _linear(x, p.W_C)
     A = T.scale(T.exp(p.A_log), -1.0)
-    y = scan_core(x, delta, A, Bmat, Cmat, p.D_skip)
-    return T.reshape(y, y.shape[1:]) if squeeze else y
+    return scan_core(x, delta, A, Bmat, Cmat, p.D_skip)
 
 
 # ---------------------------------------------------------------------------
@@ -148,26 +144,22 @@ def selective_scan(x: T.Tensor, p: SsmParams) -> T.Tensor:
 # ---------------------------------------------------------------------------
 
 def map_to_tokens(x: T.Tensor) -> tuple:
-    """[D,h,w] or [Bn,D,h,w] feature map -> ([.., h*w, D], (h, w)), row-major."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = T.reshape(x, (1,) + x.shape)
+    """[Bn,D,h,w] feature map -> ([Bn, h*w, D], (h, w)), row-major."""
+    if x.ndim != 4:
+        raise DimensionError(f"map_to_tokens: map must be [Bn,D,h,w], got {x.shape}")
     Bn, D, h, w = x.shape
-    tokens = T.transpose(T.reshape(x, (Bn, D, h * w)), (0, 2, 1))
-    return (T.reshape(tokens, (h * w, D)) if squeeze else tokens), (h, w)
+    return T.transpose(T.reshape(x, (Bn, D, h * w)), (0, 2, 1)), (h, w)
 
 
 def tokens_to_map(X: T.Tensor, grid: tuple) -> T.Tensor:
-    """Inverse of map_to_tokens for [M,D] or [Bn,M,D] sequences."""
+    """Inverse of map_to_tokens for [Bn,M,D] sequences."""
     h, w = grid
-    squeeze = X.ndim == 2
-    if squeeze:
-        X = T.reshape(X, (1,) + X.shape)
+    if X.ndim != 3:
+        raise DimensionError(f"tokens_to_map: tokens must be [Bn,M,D], got {X.shape}")
     Bn, M, D = X.shape
     if M != h * w:
         raise DimensionError(f"tokens_to_map: {M} tokens cannot fill a {h}x{w} grid")
-    out = T.reshape(T.transpose(X, (0, 2, 1)), (Bn, D, h, w))
-    return T.reshape(out, (D, h, w)) if squeeze else out
+    return T.reshape(T.transpose(X, (0, 2, 1)), (Bn, D, h, w))
 
 
 class PatchEmbed(T.Module):
@@ -186,13 +178,12 @@ class PatchEmbed(T.Module):
 
 
 def patch_embed(x: T.Tensor, n: int, W_proj: T.Tensor, E_pos: T.Tensor) -> T.Tensor:
-    """[C,H,W] or [Bn,C,H,W] -> [.., M, D] tokens; patches enumerated row-major.
+    """[Bn,C,H,W] -> [Bn, M, D] tokens; patches enumerated row-major.
 
     Each patch is flattened in [C, n, n] row-major order before projection.
     """
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = T.reshape(x, (1,) + x.shape)
+    if x.ndim != 4:
+        raise DimensionError(f"patch_embed: map must be [Bn,C,H,W], got {x.shape}")
     Bn, C, H, W = x.shape
     if H % n or W % n:
         raise DimensionError(f"patch_embed: {H}x{W} not divisible by patch size {n}")
@@ -203,8 +194,7 @@ def patch_embed(x: T.Tensor, n: int, W_proj: T.Tensor, E_pos: T.Tensor) -> T.Ten
     t = T.reshape(x, (Bn, C, h, n, w, n))
     t = T.transpose(t, (0, 2, 4, 1, 3, 5))          # [Bn,h,w,C,n,n]
     t = T.reshape(t, (Bn, h * w, C * n * n))
-    tokens = T.add_bcast(_linear(t, W_proj), E_pos)
-    return T.reshape(tokens, tokens.shape[1:]) if squeeze else tokens
+    return T.add_bcast(_linear(t, W_proj), E_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +236,9 @@ def vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
 
 
 def vim_scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:
-    """Sum of the forward scan and the flip-scan-flip backward scan."""
-    seq_axis = u.ndim - 2
+    """Sum of the forward scan and the flip-scan-flip backward scan of [Bn, L, D]."""
     yf = selective_scan(u, p_fwd)
-    yb = T.flip(selective_scan(T.flip(u, axis=seq_axis), p_bwd), axis=seq_axis)
+    yb = T.flip(selective_scan(T.flip(u, axis=1), p_bwd), axis=1)
     return yf + yb
 
 

@@ -8,19 +8,24 @@ and, when a tape is active, records a backward closure. Replaying the tape in
 reverse of recording order is a valid topological order because the graph is
 built eagerly.
 
+Every layout-aware primitive takes a leading batch axis: feature maps are
+[B,C,H,W] and token sequences are [B,L,D]. A single image or sequence is a
+batch of one.
+
 Tapes are single-writer: one training step owns one tape. Forward kernels are
 pure and safe to call concurrently on disjoint data.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import precision
-from .errors import DataError, DimensionError, UsageError
+from .errors import ConfigError, DataError, DimensionError, UsageError
 
 # When enabled, every primitive asserts that its output is finite.
 DEBUG_CHECK_FINITE = os.environ.get("PMTK_DEBUG", "") not in ("", "0")
@@ -251,10 +256,6 @@ def tsum(x: Tensor) -> Tensor:
     return record_op((x,), np.asarray(x.data.sum()), lambda g: (np.broadcast_to(g, shape).copy(),))
 
 
-def tmean(x: Tensor) -> Tensor:
-    return scale(tsum(x), 1.0 / x.size)
-
-
 # ---------------------------------------------------------------------------
 # Shape movers
 # ---------------------------------------------------------------------------
@@ -312,21 +313,17 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """Cross-correlation (no kernel flip) over [C,H,W] or [B,C,H,W] input."""
+    """Cross-correlation (no kernel flip) over [B,C,H,W] input."""
     if stride not in (1, 2):
         raise DimensionError(f"conv2d: stride must be 1 or 2, got {stride}")
     if pad not in (0, 1):
         raise DimensionError(f"conv2d: pad must be 0 or 1, got {pad}")
     if w.ndim != 4 or w.shape[2] != w.shape[3] or w.shape[2] not in (1, 3):
         raise DimensionError(f"conv2d: kernel must be [Cout,Cin,k,k] with k in {{1,3}}, got {w.shape}")
-    squeeze = x.ndim == 3
-    if squeeze:
-        x4 = x.data[None]
-    elif x.ndim == 4:
-        x4 = x.data
-    else:
-        raise DimensionError(f"conv2d: input must be rank 3 or 4, got {x.shape}")
-    B, C, H, W = x4.shape
+    if x.ndim != 4:
+        raise DimensionError(f"conv2d: input must be [B,C,H,W], got {x.shape}")
+    xd = x.data
+    B, C, H, W = xd.shape
     Cout, Cin, k, _ = w.shape
     if Cin != C:
         raise DimensionError(f"conv2d: input has {C} channels, kernel expects {Cin}")
@@ -336,9 +333,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     Wo = _conv_out_extent(W, k, stride, pad)
 
     if pad:
-        xp = np.pad(x4, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     else:
-        xp = x4
+        xp = xd
     # im2col: [B, C, Ho, Wo, k, k] -> [B*Ho*Wo, C*k*k]
     win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
@@ -348,8 +345,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     out = np.ascontiguousarray(out)
 
     def bwd(g):
-        g4 = g if g.ndim == 4 else g[None]
-        g2 = g4.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
+        g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
         gw = (g2.T @ cols).reshape(w.shape)
         gcols = (g2 @ wmat).reshape(B, Ho, Wo, C, k, k)
         gxp = np.zeros_like(xp)
@@ -358,9 +354,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
                 gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += \
                     gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
         gx = gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp
-        return (gx[0] if squeeze else gx, gw)
+        return gx, gw
 
-    return record_op((x, w), out[0] if squeeze else out, bwd)
+    return record_op((x, w), out, bwd)
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -368,10 +364,9 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
 
     Zero padding of one step on each side keeps the sequence length.
     """
-    squeeze = x.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3:
-        raise DimensionError(f"depthwise_conv1d: input must be [L,D] or [B,L,D], got {x.shape}")
+    if x.ndim != 3:
+        raise DimensionError(f"depthwise_conv1d: input must be [B,L,D], got {x.shape}")
+    xd = x.data
     B, L, D = xd.shape
     if w.shape != (3, D):
         raise DimensionError(f"depthwise_conv1d: kernel must be [3,{D}], got {w.shape}")
@@ -382,23 +377,22 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
         out = out + bias.data
 
     def bwd(g):
-        g3 = g[None] if squeeze else g
         gp = np.zeros_like(xp)
-        gp[:, :L] += wd[0] * g3
-        gp[:, 1:L + 1] += wd[1] * g3
-        gp[:, 2:L + 2] += wd[2] * g3
+        gp[:, :L] += wd[0] * g
+        gp[:, 1:L + 1] += wd[1] * g
+        gp[:, 2:L + 2] += wd[2] * g
         gx = gp[:, 1:L + 1]
         gw = np.stack([
-            (xp[:, :L] * g3).sum(axis=(0, 1)),
-            (xp[:, 1:L + 1] * g3).sum(axis=(0, 1)),
-            (xp[:, 2:L + 2] * g3).sum(axis=(0, 1)),
+            (xp[:, :L] * g).sum(axis=(0, 1)),
+            (xp[:, 1:L + 1] * g).sum(axis=(0, 1)),
+            (xp[:, 2:L + 2] * g).sum(axis=(0, 1)),
         ])
         if bias is None:
-            return gx[0] if squeeze else gx, gw
-        return (gx[0] if squeeze else gx), gw, g3.sum(axis=(0, 1))
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 1))
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    return record_op(inputs, out[0] if squeeze else out, bwd)
+    return record_op(inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -408,47 +402,58 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
 _NORM_EPS = 1e-5
 
 
+def _standardize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                 stat_axes: tuple, channel_axis: int) -> tuple:
+    """Standardize ``xd`` over ``stat_axes``, then scale and shift per channel.
+
+    ``gamma`` and ``beta`` run along ``channel_axis``. Returns the output in
+    the dtype of ``xd`` and its adjoint ``bwd(g) -> (dx, dgamma, dbeta)``.
+    Callers record ``lambda g: bwd(g)``: a tape record is named after its
+    closure, so the closure must be made in the public op.
+
+    Statistics and centering run in 64-bit regardless of storage dtype: the
+    spread can sit orders below |x|, and 1/sqrt(var + eps) amplifies the
+    cancellation error of a narrow-dtype (x - mean) into the dominant
+    gradient noise of a deep model.
+    """
+    shape = [1] * xd.ndim
+    shape[channel_axis] = gamma.size
+    gd = gamma.reshape(shape)
+    param_axes = tuple(a for a in range(xd.ndim) if a != channel_axis)
+    n = math.prod(xd.shape[a] for a in stat_axes)
+    xw = xd.astype(np.float64, copy=False)
+    mean = xw.mean(axis=stat_axes, keepdims=True)
+    var = xw.var(axis=stat_axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + _NORM_EPS)
+    xhat = (xw - mean) * inv
+    out = (xhat * gd + beta.reshape(shape)).astype(xd.dtype)
+
+    def bwd(g):
+        dxhat = g * gd
+        dx = (inv / n) * (n * dxhat
+                          - dxhat.sum(axis=stat_axes, keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True))
+        return dx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes)
+
+    return out, bwd
+
+
 def norm_affine(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel standardization over batch x spatial extent, then affine.
+    """Standardize each channel of [B,C,H,W] over batch and space, then affine.
 
     Batch statistics are always used (no running-stat inference mode); a
     constant channel maps to ``beta`` exactly, so the zero-variance convention
     (output 0 for gamma=1, beta=0) holds by construction.
     """
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"norm_affine: input must be [C,H,W] or [B,C,H,W], got {x.shape}")
-    C = xd.shape[1]
+    if x.ndim != 4:
+        raise DimensionError(f"norm_affine: input must be [B,C,H,W], got {x.shape}")
+    C = x.shape[1]
     if C == 0:
         raise DimensionError("norm_affine: zero-size channel axis")
     if gamma.shape != (C,) or beta.shape != (C,):
         raise DimensionError(f"norm_affine: affine parameters must have shape ({C},)")
-    axes = (0, 2, 3)
-    n = xd.shape[0] * xd.shape[2] * xd.shape[3]
-    # statistics and centering in 64-bit regardless of storage dtype: the
-    # per-channel spread can sit orders below |x|, and 1/sqrt(var + eps)
-    # amplifies the cancellation error of a narrow-dtype (x - mean) into
-    # the dominant gradient noise of a deep model
-    xw = xd.astype(np.float64, copy=False)
-    mean = xw.mean(axis=axes, keepdims=True)
-    var = xw.var(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (xw - mean) * inv
-    gd = gamma.data.reshape(1, C, 1, 1)
-    out = (xhat * gd + beta.data.reshape(1, C, 1, 1)).astype(xd.dtype)
-
-    def bwd(g):
-        g4 = g[None] if squeeze else g
-        dbeta = g4.sum(axis=axes)
-        dgamma = (g4 * xhat).sum(axis=axes)
-        dxhat = g4 * gd
-        dx = (inv / n) * (n * dxhat
-                          - dxhat.sum(axis=axes, keepdims=True)
-                          - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-        return (dx[0] if squeeze else dx), dgamma, dbeta
-
-    return record_op((x, gamma, beta), out[0] if squeeze else out, bwd)
+    out, bwd = _standardize(x.data, gamma.data, beta.data, (0, 2, 3), 1)
+    return record_op((x, gamma, beta), out, lambda g: bwd(g))
 
 
 def token_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -456,26 +461,9 @@ def token_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     D = x.shape[-1]
     if gamma.shape != (D,) or beta.shape != (D,):
         raise DimensionError(f"token_norm: affine parameters must have shape ({D},)")
-    xd = x.data
-    # same 64-bit statistics rationale as norm_affine
-    xw = xd.astype(np.float64, copy=False)
-    mean = xw.mean(axis=-1, keepdims=True)
-    var = xw.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = (xw - mean) * inv
-    out = (xhat * gamma.data + beta.data).astype(xd.dtype)
-    lead = tuple(range(xd.ndim - 1))
-
-    def bwd(g):
-        dbeta = g.sum(axis=lead)
-        dgamma = (g * xhat).sum(axis=lead)
-        dxhat = g * gamma.data
-        dx = (inv / D) * (D * dxhat
-                          - dxhat.sum(axis=-1, keepdims=True)
-                          - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
-        return dx, dgamma, dbeta
-
-    return record_op((x, gamma, beta), out, bwd)
+    last = x.ndim - 1
+    out, bwd = _standardize(x.data, gamma.data, beta.data, (last,), last)
+    return record_op((x, gamma, beta), out, lambda g: bwd(g))
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +480,12 @@ def _upsample_index(n: int, factor: int, dt) -> tuple:
 
 
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
-    from .errors import ConfigError
-
+    """Upsample [B,C,H,W] by a power-of-two factor along H and W."""
     if factor < 2 or (factor & (factor - 1)) != 0:
         raise ConfigError(f"bilinear_upsample: factor must be a power of two >= 2, got {factor}")
-    squeeze = x.ndim == 3
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"bilinear_upsample: input must be rank 3 or 4, got {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"bilinear_upsample: input must be [B,C,H,W], got {x.shape}")
+    xd = x.data
     B, C, H, W = xd.shape
     dt = xd.dtype
     r0, r1, rf = _upsample_index(H, factor, dt)
@@ -511,16 +497,15 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
     out = rows[:, :, :, c0] * (1 - cf) + rows[:, :, :, c1] * cf
 
     def bwd(g):
-        g4 = g[None] if squeeze else g
         grows = np.zeros((B, C, H * factor, W), dtype=dt)
-        np.add.at(grows, (slice(None), slice(None), slice(None), c0), g4 * (1 - cf))
-        np.add.at(grows, (slice(None), slice(None), slice(None), c1), g4 * cf)
+        np.add.at(grows, (slice(None), slice(None), slice(None), c0), g * (1 - cf))
+        np.add.at(grows, (slice(None), slice(None), slice(None), c1), g * cf)
         gx = np.zeros_like(xd)
         np.add.at(gx, (slice(None), slice(None), r0, slice(None)), grows * (1 - rf))
         np.add.at(gx, (slice(None), slice(None), r1, slice(None)), grows * rf)
-        return (gx[0] if squeeze else gx,)
+        return (gx,)
 
-    return record_op((x,), out[0] if squeeze else out, bwd)
+    return record_op((x,), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -530,16 +515,13 @@ def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     """Mean over pixels (and batch) of -log softmax(logits)[target].
 
-    ``logits`` is [K,H,W] or [B,K,H,W]; ``target`` an integer mask of matching
-    spatial shape with values in [0, K).
+    ``logits`` is [B,K,H,W]; ``target`` a [B,H,W] integer mask with values in
+    [0, K).
     """
-    squeeze = logits.ndim == 3
-    ld = logits.data[None] if squeeze else logits.data
-    if ld.ndim != 4:
-        raise DimensionError(f"softmax_cross_entropy: logits must be rank 3 or 4, got {logits.shape}")
+    if logits.ndim != 4:
+        raise DimensionError(f"softmax_cross_entropy: logits must be [B,K,H,W], got {logits.shape}")
+    ld = logits.data
     t = np.asarray(target)
-    if squeeze and t.ndim == 2:
-        t = t[None]
     B, K, H, W = ld.shape
     if t.shape != (B, H, W):
         raise DimensionError(f"softmax_cross_entropy: target shape {t.shape} does not match logits {logits.shape}")
@@ -560,8 +542,7 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     def bwd(g):
         p = ex / denom
         p[bi, t, hi, wi] -= 1.0
-        gl = p * (np.asarray(g).item() / n)
-        return ((gl[0] if squeeze else gl),)
+        return (p * (np.asarray(g).item() / n),)
 
     return record_op((logits,), np.asarray(loss), bwd)
 

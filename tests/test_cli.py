@@ -109,11 +109,23 @@ def test_train_eval_chain(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_1_with_message(tmp_path, capsys):
     root = tmp_path / "data"
-    main(["synth", "--out", str(root), "--count", "8", "--size", "32"])
+    # 10 samples split 8/1/1, so training has a validation split
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
     rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"),
                "--epochs", "2", "--lr", "5.0", "--batch-size", "4"])
     assert rc == 1
     assert "non-finite loss nan at epoch 1, batch 1" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_without_val_split_exits_1(tmp_path, capsys):
+    root = tmp_path / "data"
+    # 8 samples split 8/0/0: no validation split
+    main(["synth", "--out", str(root), "--count", "8", "--size", "32"])
+    rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"),
+               "--epochs", "1"])
+    assert rc == 1
+    assert f"split 'val' is empty in {root}" in capsys.readouterr().err
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -105,16 +105,30 @@ def test_scan_core_records_and_matches_numpy():
 # Selective wrapper and the Vim block
 # ---------------------------------------------------------------------------
 
-def test_selective_scan_squeeze_semantics():
-    rng = np.random.default_rng(4)
-    with precision.use("f64"):
-        p = SsmParams(rng, d=3, s=2)
-        x2 = T.Tensor(rng.standard_normal((5, 3)))
-        x3 = T.reshape(x2, (1, 5, 3))
-        y2 = selective_scan(x2, p)
-        y3 = selective_scan(x3, p)
-    assert y2.shape == (5, 3)
-    np.testing.assert_allclose(y2.data, y3.data[0], atol=1e-14)
+_UNBATCHED_CALLS = {
+    "conv2d": lambda: T.conv2d(T.Tensor(np.zeros((2, 4, 4))), T.Tensor(np.zeros((3, 2, 3, 3)))),
+    "norm_affine": lambda: T.norm_affine(T.Tensor(np.zeros((2, 4, 4))),
+                                         T.Tensor(np.ones(2)), T.Tensor(np.zeros(2))),
+    "bilinear_upsample": lambda: T.bilinear_upsample(T.Tensor(np.zeros((2, 4, 4))), 2),
+    "softmax_cross_entropy": lambda: T.softmax_cross_entropy(
+        T.Tensor(np.zeros((3, 2, 2))), np.zeros((2, 2), dtype=np.int64)),
+    "depthwise_conv1d": lambda: T.depthwise_conv1d(T.Tensor(np.zeros((5, 3))),
+                                                   T.Tensor(np.zeros((3, 3)))),
+    "selective_scan": lambda: selective_scan(T.Tensor(np.zeros((5, 3))),
+                                             SsmParams(np.random.default_rng(0), d=3)),
+    "map_to_tokens": lambda: map_to_tokens(T.Tensor(np.zeros((2, 2, 2)))),
+    "tokens_to_map": lambda: tokens_to_map(T.Tensor(np.zeros((4, 2))), (2, 2)),
+    "patch_embed": lambda: patch_embed(T.Tensor(np.zeros((3, 4, 4))), 2,
+                                       T.Tensor(np.zeros((12, 5))), T.Tensor(np.zeros((4, 5)))),
+}
+
+
+@pytest.mark.parametrize("op", list(_UNBATCHED_CALLS))
+def test_entry_points_require_batch_axis(op):
+    # maps are [B,C,H,W] and sequences [B,L,D]; each input here lacks its
+    # batch axis but is otherwise well-formed
+    with pytest.raises(DimensionError):
+        _UNBATCHED_CALLS[op]()
 
 
 def test_selective_scan_rejects_wrong_width():
@@ -144,10 +158,10 @@ def test_scan_pair_on_palindrome_is_palindromic():
     rng = np.random.default_rng(6)
     with precision.use("f64"):
         p = SsmParams(rng, d=2, s=3)
-        half = rng.standard_normal((4, 2))
-        u = T.Tensor(np.concatenate([half, half[::-1]], axis=0))
+        half = rng.standard_normal((1, 4, 2))
+        u = T.Tensor(np.concatenate([half, half[:, ::-1]], axis=1))
         out = vim_scan_pair(u, p, p).data
-    np.testing.assert_allclose(out, out[::-1], atol=1e-12)
+    np.testing.assert_allclose(out, out[:, ::-1], atol=1e-12)
 
 
 def test_ssm_params_decay_is_negative():
@@ -162,11 +176,11 @@ def test_ssm_params_decay_is_negative():
 # ---------------------------------------------------------------------------
 
 def test_token_roundtrip_and_order():
-    x = T.Tensor(np.arange(8.0).reshape(2, 2, 2))  # [D=2, h=2, w=2]
+    x = T.Tensor(np.arange(8.0).reshape(1, 2, 2, 2))  # [B=1, D=2, h=2, w=2]
     tokens, grid = map_to_tokens(x)
     assert grid == (2, 2)
     # row-major: token 1 is map position (0, 1)
-    np.testing.assert_array_equal(tokens.data[1], x.data[:, 0, 1])
+    np.testing.assert_array_equal(tokens.data[0, 1], x.data[0, :, 0, 1])
     back = tokens_to_map(tokens, grid)
     np.testing.assert_array_equal(back.data, x.data)
 
@@ -181,13 +195,13 @@ def test_token_roundtrip_batched():
 
 def test_tokens_to_map_checks_count():
     with pytest.raises(DimensionError):
-        tokens_to_map(T.Tensor(np.zeros((5, 2))), (2, 2))
+        tokens_to_map(T.Tensor(np.zeros((1, 5, 2))), (2, 2))
 
 
 def test_unit_patch_identity_projection_equals_token_view():
     rng = np.random.default_rng(9)
     with precision.use("f64"):
-        x = T.Tensor(rng.standard_normal((3, 4, 4)))
+        x = T.Tensor(rng.standard_normal((1, 3, 4, 4)))
         W = T.Tensor(np.eye(3))
         E = T.Tensor(np.zeros((16, 3)))
         got = patch_embed(x, 1, W, E)
