@@ -186,9 +186,14 @@ def _fam_norm(rng):
 
 def _fam_upsample(rng):
     from . import tensor as T
-    x = _signed(rng, (1, 2, 3, 3))
-    r = rng.uniform(0.5, 1.5, (1, 2, 6, 6))
-    return check_scalar_fn(lambda ts: _weighted_sum(T.bilinear_upsample(ts[0], 2), r), [x])
+    # non-square and batched, so a swapped row/column matrix cannot pass
+    worst = 0.0
+    for factor in (2, 4):
+        x = _signed(rng, (2, 2, 3, 5))
+        r = rng.uniform(0.5, 1.5, (2, 2, 3 * factor, 5 * factor))
+        worst = max(worst, check_scalar_fn(
+            lambda ts: _weighted_sum(T.bilinear_upsample(ts[0], factor), r), [x]))
+    return worst
 
 
 def _fam_cross_entropy(rng):
@@ -225,18 +230,22 @@ def _fam_diffusion(rng):
 
 
 def _fam_scan(rng):
-    from . import tensor as T
     from .ssm import scan_core
-    Bn, L, D, S = 1, 5, 3, 2
-    u = _signed(rng, (Bn, L, D))
-    delta = rng.uniform(0.05, 0.6, (Bn, L, D))
-    A = -rng.uniform(0.2, 2.0, (D, S))
-    B = _signed(rng, (Bn, L, S))
-    C = _signed(rng, (Bn, L, S))
-    Dsk = _signed(rng, (D,))
-    r = rng.uniform(0.5, 1.5, (Bn, L, D))
-    return check_scalar_fn(
-        lambda ts: _weighted_sum(scan_core(*ts), r), [u, delta, A, B, C, Dsk])
+    # Bn > 1 so the batch sums in gA and gDskip are probed
+    Bn, L, D, S = 2, 5, 3, 2
+    worst = 0.0
+    for reverse in (False, True):
+        u = _signed(rng, (Bn, L, D))
+        delta = rng.uniform(0.05, 0.6, (Bn, L, D))
+        A = -rng.uniform(0.2, 2.0, (D, S))
+        B = _signed(rng, (Bn, L, S))
+        C = _signed(rng, (Bn, L, S))
+        Dsk = _signed(rng, (D,))
+        r = rng.uniform(0.5, 1.5, (Bn, L, D))
+        worst = max(worst, check_scalar_fn(
+            lambda ts: _weighted_sum(scan_core(*ts, reverse=reverse), r),
+            [u, delta, A, B, C, Dsk]))
+    return worst
 
 
 def _fam_vim_block(rng):

@@ -438,7 +438,11 @@ def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
 # ---------------------------------------------------------------------------
 
 def model_profile(model: PMamba, reps: int = 3) -> dict:
-    """Parameter count, mean forward milliseconds, peak allocation estimate."""
+    """Parameter count, forward milliseconds, peak allocation estimate.
+
+    ``forward_ms`` is the median of ``reps`` timed calls after one warm-up;
+    the median, because a single slow call on a busy host would dominate a mean.
+    """
     x = np.zeros((1, model.plan.in_channels, model.size, model.size))
     predict(model, x)  # warm up
     times = []
@@ -452,6 +456,6 @@ def model_profile(model: PMamba, reps: int = 3) -> dict:
     tracemalloc.stop()
     return {
         "params": model.parameter_count(),
-        "forward_ms": float(np.mean(times)),
+        "forward_ms": float(np.median(times)),
         "peak_bytes": int(peak),
     }

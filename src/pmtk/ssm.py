@@ -9,8 +9,9 @@ The core recurrence, per channel d with hidden state h in R^S:
 delta, B, C are input-dependent (selective) linear projections of the token
 sequence; delta goes through a softplus and A is stored as -exp(A_log), which
 keeps abar inside (0, 1). ``scan_sequential`` is the plain-loop definition
-used as the oracle; ``scan_core`` vectorizes everything except the time loop
-and carries a hand-derived backward pass.
+used as the oracle. ``scan_core`` carries a hand-derived backward pass and
+loops only the two recurrences, the state forward in time and its adjoint
+backward in time; everything else is a batched contraction over [Bn,L,D,S].
 
 ``vim_block`` is the residual token mixer built on two scan directions:
 norm -> parallel input/gate projections -> short depthwise conv + SiLU ->
@@ -33,15 +34,11 @@ from .errors import ConfigError, DimensionError
 
 def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
     """Vectorized scan over [Bn, L, D] inputs; loops only over time."""
-    Bn, L, D = u.shape
-    S = A.shape[1]
+    L = u.shape[1]
     abar = np.exp(delta[..., None] * A[None, None])          # [Bn,L,D,S]
-    binp = (delta * u)[..., None] * B[:, :, None, :]         # [Bn,L,D,S]
-    H = np.empty((Bn, L, D, S), dtype=u.dtype)
-    h = np.zeros((Bn, D, S), dtype=u.dtype)
-    for t in range(L):
-        h = abar[:, t] * h + binp[:, t]
-        H[:, t] = h
+    H = (delta * u)[..., None] * B[:, :, None, :]            # injections, then states
+    for t in range(1, L):
+        H[:, t] += abar[:, t] * H[:, t - 1]
     y = np.einsum("bls,blds->bld", C, H) + Dskip * u
     if want_state:
         return y, H, abar
@@ -49,24 +46,27 @@ def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
 
 
 def scan_backward_np(gy, u, delta, A, B, C, Dskip, H, abar):
-    """Adjoint of scan_forward_np; returns gradients for all six inputs."""
-    Bn, L, D = u.shape
-    gDskip = np.einsum("bld,bld->d", gy, u)
-    gu = gy * Dskip
+    """Adjoint of scan_forward_np; returns gradients for all six inputs.
+
+    G_t = dloss/dh_t obeys G_t = gy_t C_t + abar_{t+1} G_{t+1}; only that
+    recurrence is looped, and every gradient is then one batched contraction
+    of G with the forward's states H and decays abar.
+    """
+    L = u.shape[1]
+    G = gy[..., None] * C[:, :, None, :]                     # [Bn,L,D,S]
+    for t in range(L - 2, -1, -1):
+        G[:, t] += abar[:, t + 1] * G[:, t + 1]
+    # d/d(delta*A) at t is G_t * h_{t-1} * abar_t, with h_{-1} = 0
+    gdA = np.zeros_like(G)
+    np.multiply(G[:, 1:], H[:, :-1], out=gdA[:, 1:])
+    gdA *= abar
+    GB = np.einsum("blds,bls->bld", G, B)
+    gu = gy * Dskip + delta * GB
+    gdelta = np.einsum("blds,ds->bld", gdA, A) + u * GB
+    gA = np.einsum("blds,bld->ds", gdA, delta)
+    gB = np.einsum("blds,bld->bls", G, delta * u)
     gC = np.einsum("bld,blds->bls", gy, H)
-    gdelta = np.empty_like(delta)
-    gB = np.empty_like(B)
-    gA = np.zeros_like(A)
-    G = np.zeros((Bn, D, A.shape[1]), dtype=u.dtype)
-    for t in range(L - 1, -1, -1):
-        G = gy[:, t, :, None] * C[:, t, None, :] + (abar[:, t + 1] * G if t + 1 < L else 0.0)
-        hprev = H[:, t - 1] if t > 0 else 0.0
-        gabar_abar = G * hprev * abar[:, t]                  # d/d(delta*A) terms
-        GB = np.einsum("bds,bs->bd", G, B[:, t])
-        gdelta[:, t] = np.einsum("bds,ds->bd", gabar_abar, A) + u[:, t] * GB
-        gu[:, t] += delta[:, t] * GB
-        gB[:, t] = np.einsum("bds,bd->bs", G, delta[:, t] * u[:, t])
-        gA += np.einsum("bds,bd->ds", gabar_abar, delta[:, t])
+    gDskip = np.einsum("bld,bld->d", gy, u)
     return gu, gdelta, gA, gB, gC, gDskip
 
 
@@ -86,16 +86,25 @@ def scan_sequential(u, delta, A, B, C, Dskip):
 
 
 def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
-              C: T.Tensor, Dskip: T.Tensor) -> T.Tensor:
-    """Tape-recorded scan over [Bn, L, D] with custom adjoint."""
-    y, H, abar = scan_forward_np(u.data, delta.data, A.data, B.data, C.data,
-                                 Dskip.data, want_state=True)
+              C: T.Tensor, Dskip: T.Tensor, reverse: bool = False) -> T.Tensor:
+    """Tape-recorded scan over [Bn, L, D] with custom adjoint.
+
+    ``reverse=True`` scans from the last token to the first: the same as
+    flipping u, delta, B and C along L, scanning, and flipping y back. The
+    kernels run on reversed views, so no flipped copy is taped.
+    """
+    seq = slice(None, None, -1 if reverse else 1)
+    y, H, abar = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
+                                 B.data[:, seq], C.data[:, seq], Dskip.data,
+                                 want_state=True)
 
     def bwd(gy):
-        return scan_backward_np(gy, u.data, delta.data, A.data, B.data,
-                                C.data, Dskip.data, H, abar)
+        gu, gdelta, gA, gB, gC, gDskip = scan_backward_np(
+            gy[:, seq], u.data[:, seq], delta.data[:, seq], A.data,
+            B.data[:, seq], C.data[:, seq], Dskip.data, H, abar)
+        return gu[:, seq], gdelta[:, seq], gA, gB[:, seq], gC[:, seq], gDskip
 
-    return T.record_op((u, delta, A, B, C, Dskip), y, bwd)
+    return T.record_op((u, delta, A, B, C, Dskip), y[:, seq], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +137,15 @@ def _linear(x: T.Tensor, W: T.Tensor, b: T.Tensor | None = None) -> T.Tensor:
     return out
 
 
-def selective_scan(x: T.Tensor, p: SsmParams) -> T.Tensor:
-    """Input-dependent scan of a token sequence [Bn, L, D]."""
+def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor:
+    """Input-dependent scan of a token sequence [Bn, L, D], last token first if ``reverse``."""
     if x.ndim != 3 or x.shape[2] != p.d:
         raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
     delta = T.softplus(_linear(x, p.W_dt, p.b_dt))
     Bmat = _linear(x, p.W_B)
     Cmat = _linear(x, p.W_C)
     A = T.scale(T.exp(p.A_log), -1.0)
-    return scan_core(x, delta, A, Bmat, Cmat, p.D_skip)
+    return scan_core(x, delta, A, Bmat, Cmat, p.D_skip, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +245,8 @@ def vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
 
 
 def vim_scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:
-    """Sum of the forward scan and the flip-scan-flip backward scan of [Bn, L, D]."""
-    yf = selective_scan(u, p_fwd)
-    yb = T.flip(selective_scan(T.flip(u, axis=1), p_bwd), axis=1)
-    return yf + yb
+    """Sum of the forward scan and the reversed scan of [Bn, L, D]."""
+    return selective_scan(u, p_fwd) + selective_scan(u, p_bwd, reverse=True)
 
 
 # ---------------------------------------------------------------------------

@@ -275,11 +275,6 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
                  lambda g: (g.transpose(inv),))
 
 
-def flip(x: Tensor, axis: int) -> Tensor:
-    return record_op((x,), np.flip(x.data, axis=axis).copy(),
-                 lambda g: (np.flip(g, axis=axis),))
-
-
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     parts = list(parts)
     sizes = [p.shape[axis] for p in parts]
@@ -470,42 +465,31 @@ def token_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # Bilinear upsampling (align_corners = False)
 # ---------------------------------------------------------------------------
 
-def _upsample_index(n: int, factor: int, dt) -> tuple:
-    src = (np.arange(n * factor, dtype=dt) + dt.type(0.5)) / factor - dt.type(0.5)
-    i0f = np.floor(src)
-    frac = src - i0f
-    i0 = np.clip(i0f, 0, n - 1).astype(np.intp)
-    i1 = np.clip(i0f + 1, 0, n - 1).astype(np.intp)
-    return i0, i1, frac
+def _interp_matrix(n: int, factor: int, dt) -> np.ndarray:
+    """[n*factor, n] linear interpolation weights, align_corners = False.
+
+    Output i samples source coordinate (i + 0.5) / factor - 0.5, clamped to
+    [0, n-1]; source j gets the hat weight max(0, 1 - |coordinate - j|).
+    """
+    src = np.clip((np.arange(n * factor) + 0.5) / factor - 0.5, 0, n - 1)
+    return np.maximum(0.0, 1.0 - np.abs(src[:, None] - np.arange(n))).astype(dt)
 
 
 def bilinear_upsample(x: Tensor, factor: int) -> Tensor:
-    """Upsample [B,C,H,W] by a power-of-two factor along H and W."""
+    """Upsample [B,C,H,W] by a power-of-two factor along H and W.
+
+    Bilinear interpolation is separable: with R = [H*f, H] and Cm = [W*f, W]
+    from ``_interp_matrix``, the output is R @ x @ Cm.T and the input gradient
+    R.T @ g @ Cm, matmuls broadcast over [B,C].
+    """
     if factor < 2 or (factor & (factor - 1)) != 0:
         raise ConfigError(f"bilinear_upsample: factor must be a power of two >= 2, got {factor}")
     if x.ndim != 4:
         raise DimensionError(f"bilinear_upsample: input must be [B,C,H,W], got {x.shape}")
-    xd = x.data
-    B, C, H, W = xd.shape
-    dt = xd.dtype
-    r0, r1, rf = _upsample_index(H, factor, dt)
-    c0, c1, cf = _upsample_index(W, factor, dt)
-    rf = rf.reshape(1, 1, -1, 1)
-    cf = cf.reshape(1, 1, 1, -1)
-
-    rows = xd[:, :, r0, :] * (1 - rf) + xd[:, :, r1, :] * rf
-    out = rows[:, :, :, c0] * (1 - cf) + rows[:, :, :, c1] * cf
-
-    def bwd(g):
-        grows = np.zeros((B, C, H * factor, W), dtype=dt)
-        np.add.at(grows, (slice(None), slice(None), slice(None), c0), g * (1 - cf))
-        np.add.at(grows, (slice(None), slice(None), slice(None), c1), g * cf)
-        gx = np.zeros_like(xd)
-        np.add.at(gx, (slice(None), slice(None), r0, slice(None)), grows * (1 - rf))
-        np.add.at(gx, (slice(None), slice(None), r1, slice(None)), grows * rf)
-        return (gx,)
-
-    return record_op((x,), out, bwd)
+    _, _, H, W = x.shape
+    R = _interp_matrix(H, factor, x.data.dtype)
+    Cm = _interp_matrix(W, factor, x.data.dtype)
+    return record_op((x,), R @ (x.data @ Cm.T), lambda g: (R.T @ (g @ Cm),))
 
 
 # ---------------------------------------------------------------------------

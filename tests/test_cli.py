@@ -129,12 +129,14 @@ def test_train_without_val_split_exits_1(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_eval_missing_checkpoint(tmp_path):
+def test_eval_missing_checkpoint(tmp_path, capsys):
     root = tmp_path / "data"
-    main(["synth", "--out", str(root), "--count", "6", "--size", "32"])
+    # 10 samples split 8/1/1, so eval gets past the split and opens the checkpoint
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
     rc = main(["eval", "--data", str(root), "--checkpoint",
                str(tmp_path / "none.ckpt"), "--out", str(tmp_path / "r.csv")])
     assert rc == 1
+    assert "none.ckpt" in capsys.readouterr().err
 
 
 def test_bench_writes_scaling_and_profile(tmp_path):

@@ -89,16 +89,21 @@ def test_causality():
 
 def test_scan_core_records_and_matches_numpy():
     rng = np.random.default_rng(3)
-    arrays = random_scan_inputs(rng, 1, 6, 2, 3)
-    with precision.use("f64"):
-        tensors = [T.Tensor(a) for a in arrays]
-        with T.Tape() as tape:
-            y = scan_core(*tensors)
-            loss = T.tsum(y)
-        grads = T.backward(tape, loss)
-    np.testing.assert_allclose(y.data, scan_sequential(*arrays), atol=1e-12)
-    for t in tensors:
-        assert np.isfinite(T.grad_of(grads, t)).all()
+    arrays = random_scan_inputs(rng, 2, 6, 2, 3)
+    u, delta, A, B, C, Dskip = arrays
+    # reverse=True is flip-scan-flip: u, delta, B, C reversed along L
+    flipped = scan_sequential(u[:, ::-1], delta[:, ::-1], A, B[:, ::-1],
+                              C[:, ::-1], Dskip)[:, ::-1]
+    for reverse, expect in ((False, scan_sequential(*arrays)), (True, flipped)):
+        with precision.use("f64"):
+            tensors = [T.Tensor(a) for a in arrays]
+            with T.Tape() as tape:
+                y = scan_core(*tensors, reverse=reverse)
+                loss = T.tsum(y)
+            grads = T.backward(tape, loss)
+        np.testing.assert_allclose(y.data, expect, atol=1e-12)
+        for t in tensors:
+            assert np.isfinite(T.grad_of(grads, t)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +167,37 @@ def test_scan_pair_on_palindrome_is_palindromic():
         u = T.Tensor(np.concatenate([half, half[:, ::-1]], axis=1))
         out = vim_scan_pair(u, p, p).data
     np.testing.assert_allclose(out, out[:, ::-1], atol=1e-12)
+
+
+def test_scan_pair_matches_flip_scan_flip():
+    # the reversed scan must equal scanning the flipped sequence and flipping
+    # the output back, in value and in every gradient
+    rng = np.random.default_rng(8)
+    with precision.use("f64"):
+        pf, pb = SsmParams(rng, d=3, s=2), SsmParams(rng, d=3, s=2)
+        u_np = rng.standard_normal((2, 7, 3))
+        r = rng.uniform(0.5, 1.5, u_np.shape)
+        params = pf.parameters() + pb.parameters()
+
+        u = T.Tensor(u_np)
+        with T.Tape() as tape:
+            out = vim_scan_pair(u, pf, pb)
+            loss = T.tsum(T.mul_const(out, r))
+        grads = T.backward(tape, loss)
+
+        # reference: <r, flip(scan(flip(u)))> = <flip(r), scan(flip(u))>
+        u_ref, u_flip = T.Tensor(u_np), T.Tensor(u_np[:, ::-1])
+        with T.Tape() as tape:
+            yf = selective_scan(u_ref, pf)
+            yb = selective_scan(u_flip, pb)
+            loss = T.add(T.tsum(T.mul_const(yf, r)), T.tsum(T.mul_const(yb, r[:, ::-1])))
+        ref = T.backward(tape, loss)
+
+    np.testing.assert_allclose(out.data, yf.data + yb.data[:, ::-1], rtol=0, atol=1e-12)
+    gu_ref = T.grad_of(ref, u_ref) + T.grad_of(ref, u_flip)[:, ::-1]
+    np.testing.assert_allclose(T.grad_of(grads, u), gu_ref, rtol=0, atol=1e-12)
+    for p in params:
+        np.testing.assert_allclose(T.grad_of(grads, p), T.grad_of(ref, p), rtol=0, atol=1e-12)
 
 
 def test_ssm_params_decay_is_negative():

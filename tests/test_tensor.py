@@ -133,6 +133,36 @@ def test_bilinear_upsample_constant_preserved():
     np.testing.assert_allclose(out.data, 3.0, atol=1e-12)
 
 
+def upsample_reference(x, f):
+    """align_corners=False bilinear upsampling, one output pixel at a time.
+
+    Output pixel i samples source coordinate (i + 0.5) / f - 0.5, clamped
+    below at 0; the upper neighbour index is clamped at the last row/column.
+    """
+    B, C, H, W = x.shape
+    out = np.zeros((B, C, H * f, W * f))
+    for i in range(H * f):
+        sy = max((i + 0.5) / f - 0.5, 0.0)
+        y0 = min(int(sy), H - 1)
+        y1, wy = min(y0 + 1, H - 1), sy - y0
+        for j in range(W * f):
+            sx = max((j + 0.5) / f - 0.5, 0.0)
+            x0 = min(int(sx), W - 1)
+            x1, wx = min(x0 + 1, W - 1), sx - x0
+            top = (1 - wx) * x[:, :, y0, x0] + wx * x[:, :, y0, x1]
+            bottom = (1 - wx) * x[:, :, y1, x0] + wx * x[:, :, y1, x1]
+            out[:, :, i, j] = (1 - wy) * top + wy * bottom
+    return out
+
+
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_bilinear_upsample_matches_per_pixel_reference(factor):
+    x = np.random.default_rng(factor).standard_normal((2, 3, 3, 5))
+    with precision.use("f64"):
+        out = T.bilinear_upsample(T.Tensor(x), factor)
+    np.testing.assert_allclose(out.data, upsample_reference(x, factor), rtol=0, atol=1e-12)
+
+
 def test_softmax_cross_entropy_uniform_logits():
     with precision.use("f64"):
         logits = T.Tensor(np.zeros((2, 3, 2, 2)))
