@@ -144,12 +144,14 @@ def _fam_matmul(rng):
 
 def _fam_conv2d(rng):
     from . import tensor as T
+    # batched and non-square, so the batch sum in gw and a swapped H/W are
+    # probed; the 1x1 pad-0 case runs the branch without im2col
     worst = 0.0
-    for stride, pad, hw in ((1, 1, 5), (2, 1, 6), (1, 0, 4)):
-        x = _signed(rng, (1, 2, hw, hw))
-        w = _signed(rng, (3, 2, 3, 3))
-        ho = (hw + 2 * pad - 3) // stride + 1
-        r = rng.uniform(0.5, 1.5, (1, 3, ho, ho))
+    for k, stride, pad in ((3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 1, 0)):
+        x = _signed(rng, (2, 2, 5, 7))
+        w = _signed(rng, (3, 2, k, k))
+        ho, wo = ((n + 2 * pad - k) // stride + 1 for n in (5, 7))
+        r = rng.uniform(0.5, 1.5, (2, 3, ho, wo))
         worst = max(worst, check_scalar_fn(
             lambda ts, s=stride, p=pad, rr=r: _weighted_sum(T.conv2d(ts[0], ts[1], s, p), rr),
             [x, w]))

@@ -271,7 +271,10 @@ def predict(model: PMamba, images: np.ndarray) -> np.ndarray:
 # Training and evaluation
 # ---------------------------------------------------------------------------
 
-LOG_HEADER = "epoch,loss_prim,loss_fcn,loss_pmd,loss_vim,val_precision,val_recall,val_dice"
+# wall_s is the epoch's wall time (training and validation); grad_norm is
+# the largest global L2 norm of the parameter gradients over its batches
+LOG_HEADER = ("epoch,loss_prim,loss_fcn,loss_pmd,loss_vim,val_precision,val_recall,"
+              "val_dice,wall_s,grad_norm")
 
 
 @dataclass(frozen=True)
@@ -299,13 +302,25 @@ def _stack(samples) -> tuple:
     return images, masks
 
 
+def _grad_norm(params, grads: dict) -> float:
+    """Global L2 norm of the parameters' gradients, accumulated in f64."""
+    sq = 0.0
+    for p in params:
+        g = grads.get(p)
+        if g is not None:
+            g = g.astype(np.float64).ravel()
+            sq += float(g @ g)
+    return float(np.sqrt(sq))
+
+
 def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> tuple:
     """Momentum-SGD training; returns (model, history rows as dicts).
 
     Fully determined by cfg.seed: initialization, shuffles and therefore the
-    whole trajectory. Writes the metric log incrementally when cfg.log_path
-    is set (header LOG_HEADER). Raises DivergenceError, naming the epoch and
-    batch, as soon as a batch loss is non-finite, before any update from it.
+    whole trajectory, so every history column but wall_s repeats. Writes the
+    metric log incrementally when cfg.log_path is set (header LOG_HEADER).
+    Raises DivergenceError, naming the epoch and batch, as soon as a batch
+    loss is non-finite, before any update from it.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -320,9 +335,11 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
     history = []
     try:
         for epoch in range(cfg.epochs):
+            start_s = time.perf_counter()
             order = rng.permutation(n)
             sums = dict.fromkeys(("prim", "fcn", "pmd", "vim"), 0.0)
             batches = 0
+            grad_norm = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 with T.Tape() as tape:
@@ -335,6 +352,7 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                         f"non-finite loss {loss.item()} at epoch {epoch}, batch "
                         f"{batches}; lower the learning rate (lr {cfg.lr})")
                 grads = T.backward(tape, loss)
+                grad_norm = max(grad_norm, _grad_norm(opt.params, grads))
                 opt.step(grads)
                 for key in sums:
                     sums[key] += parts[key]
@@ -349,6 +367,7 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
             else:
                 row.update(val_precision=float("nan"), val_recall=float("nan"),
                            val_dice=float("nan"))
+            row.update(wall_s=time.perf_counter() - start_s, grad_norm=grad_norm)
             history.append(row)
             if log_fh:
                 log_fh.write(",".join(format(row[col], ".6f") if col != "epoch"

@@ -11,7 +11,13 @@ sequence; delta goes through a softplus and A is stored as -exp(A_log), which
 keeps abar inside (0, 1). ``scan_sequential`` is the plain-loop definition
 used as the oracle. ``scan_core`` carries a hand-derived backward pass and
 loops only the two recurrences, the state forward in time and its adjoint
-backward in time; everything else is a batched contraction over [Bn,L,D,S].
+backward in time; everything else is a batched contraction.
+
+Layouts: the kernels take and return batch-major [Bn, L, D] sequences and
+[Bn, L, S] B and C, like every tape primitive. Inside, the state H, the
+decays abar and the adjoint G are time-major [L, Bn, S, D] in memory as well
+as in shape, so each step of a loop reads and writes Bn*S*D contiguous
+values. Tape records store H and abar in that layout.
 
 ``vim_block`` is the residual token mixer built on two scan directions:
 norm -> parallel input/gate projections -> short depthwise conv + SiLU ->
@@ -32,14 +38,33 @@ from .errors import ConfigError, DimensionError
 # Scan forward/backward kernels (plain numpy)
 # ---------------------------------------------------------------------------
 
+def _time_major(*arrays):
+    """[Bn, L, ...] arrays as contiguous [L, Bn, ...] copies.
+
+    Products of these are time-major in memory as well as in shape, so each
+    time step of the state is one contiguous block.
+    """
+    return [np.ascontiguousarray(a.swapaxes(0, 1)) for a in arrays]
+
+
 def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
-    """Vectorized scan over [Bn, L, D] inputs; loops only over time."""
-    L = u.shape[1]
-    abar = np.exp(delta[..., None] * A[None, None])          # [Bn,L,D,S]
-    H = (delta * u)[..., None] * B[:, :, None, :]            # injections, then states
-    for t in range(1, L):
-        H[:, t] += abar[:, t] * H[:, t - 1]
-    y = np.einsum("bls,blds->bld", C, H) + Dskip * u
+    """Scan over batch-major [Bn, L, D] inputs; loops only over time.
+
+    Returns batch-major y [Bn, L, D]; with ``want_state`` also the
+    time-major states H and decays abar, both [L, Bn, S, D].
+    """
+    ut, dt, Bt, Ct = _time_major(u, delta, B, C)
+    # a unit-stride A.T, and exp in place: each fresh [L,Bn,S,D] buffer
+    # costs page faults comparable to the arithmetic on it
+    abar = dt[:, :, None, :] * np.ascontiguousarray(A.T)
+    np.exp(abar, out=abar)
+    H = Bt[..., None] * (dt * ut)[:, :, None, :]             # injections, then states
+    hs, decay = list(H), list(abar)
+    tmp = np.empty_like(hs[0])
+    for t in range(1, len(hs)):
+        np.multiply(decay[t], hs[t - 1], out=tmp)
+        hs[t] += tmp
+    y = (Ct[:, :, None, :] @ H)[:, :, 0].swapaxes(0, 1) + Dskip * u
     if want_state:
         return y, H, abar
     return y
@@ -48,24 +73,29 @@ def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
 def scan_backward_np(gy, u, delta, A, B, C, Dskip, H, abar):
     """Adjoint of scan_forward_np; returns gradients for all six inputs.
 
-    G_t = dloss/dh_t obeys G_t = gy_t C_t + abar_{t+1} G_{t+1}; only that
-    recurrence is looped, and every gradient is then one batched contraction
-    of G with the forward's states H and decays abar.
+    Arguments and gradients are batch-major like the forward's; H and abar
+    are its time-major [L, Bn, S, D] states. G_t = dloss/dh_t obeys
+    G_t = gy_t C_t + abar_{t+1} G_{t+1}; only that recurrence is looped, and
+    every gradient is then one batched contraction of G with H and abar.
     """
-    L = u.shape[1]
-    G = gy[..., None] * C[:, :, None, :]                     # [Bn,L,D,S]
-    for t in range(L - 2, -1, -1):
-        G[:, t] += abar[:, t + 1] * G[:, t + 1]
-    # d/d(delta*A) at t is G_t * h_{t-1} * abar_t, with h_{-1} = 0
-    gdA = np.zeros_like(G)
-    np.multiply(G[:, 1:], H[:, :-1], out=gdA[:, 1:])
-    gdA *= abar
-    GB = np.einsum("blds,bls->bld", G, B)
-    gu = gy * Dskip + delta * GB
-    gdelta = np.einsum("blds,ds->bld", gdA, A) + u * GB
-    gA = np.einsum("blds,bld->ds", gdA, delta)
-    gB = np.einsum("blds,bld->bls", G, delta * u)
-    gC = np.einsum("bld,blds->bls", gy, H)
+    gyt, ut, dt, Bt, Ct = _time_major(gy, u, delta, B, C)
+    G = Ct[..., None] * gyt[:, :, None, :]                     # [L,Bn,S,D]
+    gs, decay = list(G), list(abar)
+    tmp = np.empty_like(gs[0])
+    for t in range(len(gs) - 2, -1, -1):
+        np.multiply(decay[t + 1], gs[t + 1], out=tmp)
+        gs[t] += tmp
+    GB = (Bt[:, :, None, :] @ G)[:, :, 0]                     # [L,Bn,D]
+    gB = (G @ (dt * ut)[..., None])[..., 0].swapaxes(0, 1)
+    gC = (H @ gyt[..., None])[..., 0].swapaxes(0, 1)
+    # G becomes d/d(delta*A): G_t * h_{t-1} * abar_t, with h_{-1} = 0
+    gdA = G
+    gdA[1:] *= H[:-1]
+    gdA[1:] *= abar[1:]
+    gdA[0] = 0
+    gu = gy * Dskip + (dt * GB).swapaxes(0, 1)
+    gdelta = (np.einsum("lbsd,sd->lbd", gdA, np.ascontiguousarray(A.T)) + ut * GB).swapaxes(0, 1)
+    gA = np.einsum("lbsd,lbd->ds", gdA, dt)
     gDskip = np.einsum("bld,bld->d", gy, u)
     return gu, gdelta, gA, gB, gC, gDskip
 

@@ -225,7 +225,9 @@ def silu(x: Tensor) -> Tensor:
 
 def softplus(x: Tensor) -> Tensor:
     xd = x.data
-    out = np.logaddexp(0.0, xd)
+    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|): no overflow, and several
+    # times faster than np.logaddexp(0, x)
+    out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
     return record_op((x,), out, lambda g: (g / (1.0 + np.exp(-xd)),))
 
 
@@ -308,7 +310,12 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """Cross-correlation (no kernel flip) over [B,C,H,W] input."""
+    """Cross-correlation (no kernel flip) of [B,C,H,W] input with [Cout,C,k,k].
+
+    Lowered to one matmul per image, wmat [Cout, C*k*k] @ cols [C*k*k, Ho*Wo],
+    whose product is already the [Cout, Ho, Wo] output map. A 1x1 stride-1
+    kernel uses the (padded) input itself as cols.
+    """
     if stride not in (1, 2):
         raise DimensionError(f"conv2d: stride must be 1 or 2, got {stride}")
     if pad not in (0, 1):
@@ -327,27 +334,38 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     Ho = _conv_out_extent(H, k, stride, pad)
     Wo = _conv_out_extent(W, k, stride, pad)
 
-    if pad:
-        xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    else:
-        xp = xd
-    # im2col: [B, C, Ho, Wo, k, k] -> [B*Ho*Wo, C*k*k]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(B * Ho * Wo, C * k * k)
+    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
     wmat = w.data.reshape(Cout, C * k * k)
-    out = (cols @ wmat.T).reshape(B, Ho, Wo, Cout).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
-
-    def bwd(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(B * Ho * Wo, Cout)
-        gw = (g2.T @ cols).reshape(w.shape)
-        gcols = (g2 @ wmat).reshape(B, Ho, Wo, C, k, k)
-        gxp = np.zeros_like(xp)
+    # im2col, channel-major: cols[b, (c, i, j), (ho, wo)] is the input pixel
+    # that kernel tap (i, j) of channel c meets at output pixel (ho, wo)
+    if k == 1 and stride == 1:
+        cols = xp.reshape(B, C, Ho * Wo)
+    else:
+        cols = np.empty((B, C, k, k, Ho, Wo), dtype=xp.dtype)
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += \
-                    gcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
+        cols = cols.reshape(B, C * k * k, Ho * Wo)
+    out = (wmat @ cols).reshape(B, Cout, Ho, Wo)
+
+    def bwd(g):
+        g3 = g.reshape(B, Cout, Ho * Wo)
+        # gw contracts over batch and pixels. Summing per-image products
+        # makes a [B, Cout, C*k*k] intermediate, tensordot a transposed copy
+        # of cols, [B, C*k*k, Ho*Wo]; take the smaller
+        if Ho * Wo >= Cout:
+            gw = (g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+        else:
+            gw = np.tensordot(g3, cols, ((0, 2), (0, 2))).reshape(w.shape)
+        gcols = wmat.T @ g3
+        if k == 1 and stride == 1:
+            gxp = gcols.reshape(xp.shape)
+        else:
+            gcols = gcols.reshape(B, C, k, k, Ho, Wo)
+            gxp = np.zeros_like(xp)
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcols[:, :, i, j]
         gx = gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp
         return gx, gw
 

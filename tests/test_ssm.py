@@ -106,6 +106,38 @@ def test_scan_core_records_and_matches_numpy():
             assert np.isfinite(T.grad_of(grads, t)).all()
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_core_batch_items_do_not_interact(reverse):
+    # the time-major state interleaves the batch at every step; a batch of
+    # three must give each sample's output and gradients as if scanned alone
+    rng = np.random.default_rng(11)
+    arrays = random_scan_inputs(rng, 3, 9, 4, 3)
+    r = rng.uniform(0.5, 1.5, arrays[0].shape)
+
+    def run(arrs, weight):
+        tensors = [T.Tensor(a) for a in arrs]
+        with T.Tape() as tape:
+            y = scan_core(*tensors, reverse=reverse)
+            loss = T.tsum(T.mul_const(y, weight))
+        grads = T.backward(tape, loss)
+        return y.data, [T.grad_of(grads, t) for t in tensors]
+
+    per_sample = (0, 1, 3, 4)          # u, delta, B, C; A and Dskip are shared
+    with precision.use("f64"):
+        y, grads = run(arrays, r)
+        shared = [np.zeros_like(arrays[2]), np.zeros_like(arrays[5])]
+        for b in range(3):
+            one = [a[b:b + 1] if i in per_sample else a for i, a in enumerate(arrays)]
+            y1, g1 = run(one, r[b:b + 1])
+            np.testing.assert_allclose(y[b:b + 1], y1, rtol=0, atol=1e-12)
+            for i in per_sample:
+                np.testing.assert_allclose(grads[i][b:b + 1], g1[i], rtol=0, atol=1e-12)
+            shared[0] += g1[2]
+            shared[1] += g1[5]
+    np.testing.assert_allclose(grads[2], shared[0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads[5], shared[1], rtol=0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Selective wrapper and the Vim block
 # ---------------------------------------------------------------------------

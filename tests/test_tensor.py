@@ -110,6 +110,46 @@ def test_conv2d_stride_halves_extent():
     assert T.conv2d(x, w, stride=2, pad=1).shape == (2, 5, 4, 4)
 
 
+def conv2d_reference(x, w, stride, pad):
+    """Cross-correlation, one output pixel and kernel tap at a time."""
+    B, C, H, W = x.shape
+    Cout, _, k, _ = w.shape
+    Ho, Wo = (H + 2 * pad - k) // stride + 1, (W + 2 * pad - k) // stride + 1
+    out = np.zeros((B, Cout, Ho, Wo))
+    for i in range(Ho):
+        for j in range(Wo):
+            for di in range(k):
+                for dj in range(k):
+                    r, c = i * stride + di - pad, j * stride + dj - pad
+                    if 0 <= r < H and 0 <= c < W:
+                        out[:, :, i, j] += x[:, :, r, c] @ w[:, :, di, dj].T
+    return out
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_matches_per_pixel_reference(k, stride, pad):
+    rng = np.random.default_rng(10 * k + 2 * stride + pad)
+    x = rng.standard_normal((2, 3, 5, 7))
+    w = rng.standard_normal((4, 3, k, k))
+    with precision.use("f64"):
+        out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, pad=pad)
+    np.testing.assert_allclose(out.data, conv2d_reference(x, w, stride, pad),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode, rtol", [("f32", 1e-6), ("f64", 1e-15)])
+def test_softplus_matches_logaddexp_without_overflow(mode, rtol):
+    x = np.array([-1e4, -100.0, -30.0, 0.0, 30.0, 100.0, 1e4])
+    with precision.use(mode), np.errstate(over="raise", invalid="raise", divide="raise"):
+        xt = T.Tensor(x)
+        out = T.softplus(xt)
+        expect = np.logaddexp(0.0, xt.data)
+    assert out.data.dtype == xt.data.dtype
+    np.testing.assert_allclose(out.data, expect, rtol=rtol, atol=0)
+
+
 def test_norm_affine_standardizes():
     rng = np.random.default_rng(0)
     x = T.Tensor(rng.uniform(1.0, 3.0, (4, 3, 5, 5)))
