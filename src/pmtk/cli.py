@@ -218,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the toy model on a dataset directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=8)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")

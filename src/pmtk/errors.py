@@ -26,4 +26,4 @@ class UsageError(PmtkError):
 
 
 class DivergenceError(PmtkError):
-    """Training produced a non-finite loss (step size too large for the model)."""
+    """Training produced a non-finite value (step size too large for the model)."""

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import precision
-from .tensor import Tape, Tensor, backward, grad_of
+from .tensor import Tape, Tensor, backward, grad_of, record_name
 
 
 def fd_step() -> float:
@@ -134,12 +134,18 @@ def _fam_elementwise(rng):
     return check_scalar_fn(f, [x, y])
 
 
-def _fam_matmul(rng):
+def _fam_linear(rng):
     from . import tensor as T
-    a = _signed(rng, (3, 4))
-    b = _signed(rng, (4, 2))
-    r = rng.uniform(0.5, 1.5, (3, 2))
-    return check_scalar_fn(lambda ts: _weighted_sum(T.matmul(ts[0], ts[1]), r), [a, b])
+    # a 3-D input, so the flattening of the leading axes is probed
+    x = _signed(rng, (2, 3, 4))
+    w = _signed(rng, (4, 2))
+    b = _signed(rng, (2,))
+    r = rng.uniform(0.5, 1.5, (2, 3, 2))
+
+    def f(ts):
+        return _weighted_sum(T.linear(*ts), r)
+
+    return max(check_scalar_fn(f, [x, w]), check_scalar_fn(f, [x, w, b]))
 
 
 def _fam_conv2d(rng):
@@ -250,25 +256,35 @@ def _fam_scan(rng):
     return worst
 
 
+def _check_module(module, forward: Callable, inputs: Sequence[np.ndarray] = ()) -> float:
+    """Worst fd error of ``forward(*inputs)`` over its inputs and every
+    parameter of ``module``.
+
+    Each evaluation rebinds the parameters to probe tensors so tape gradients
+    attach, and rebinds the originals in a ``finally``: an error in the
+    forward leaves no probe tensor bound into the module.
+    """
+    named = list(module.named_parameters())
+    k = len(inputs)
+
+    def f(ts):
+        try:
+            for (name, _), t in zip(named, ts[k:]):
+                _assign(module, name, t)
+            return forward(*ts[:k])
+        finally:
+            for name, p in named:
+                _assign(module, name, p)
+
+    return check_scalar_fn(f, list(inputs) + [p.data.copy() for _, p in named])
+
+
 def _fam_vim_block(rng):
     from .ssm import VimBlockWeights, vim_block
     w = VimBlockWeights(np.random.default_rng(int(rng.integers(1 << 31))), d=4, s=2)
-    names = [n for n, _ in w.named_parameters()]
-    params = {n: p for n, p in w.named_parameters()}
     x = _signed(rng, (1, 6, 4))
     r = rng.uniform(0.5, 1.5, x.shape)
-    arrays = [x] + [params[n].data.copy() for n in names]
-
-    def f(ts):
-        # Rebind parameters to the probe tensors so tape gradients attach.
-        for name, t in zip(names, ts[1:]):
-            _assign(w, name, t)
-        out = vim_block(ts[0], w)
-        for name in names:
-            _assign(w, name, params[name])
-        return _weighted_sum(out, r)
-
-    return check_scalar_fn(f, arrays)
+    return _check_module(w, lambda xt: _weighted_sum(vim_block(xt, w), r), [x])
 
 
 def _assign(module, dotted: str, value) -> None:
@@ -293,26 +309,14 @@ def _fam_pmd_block(rng):
     from .pmd import PmdBlock
     blk = PmdBlock(np.random.default_rng(int(rng.integers(1 << 31))), 2, 3,
                    stride=1, preprocess="dwt")
-    names = [n for n, _ in blk.named_parameters()]
-    params = {n: p for n, p in blk.named_parameters()}
     x = _signed(rng, (1, 2, 6, 6))
     r = rng.uniform(0.5, 1.5, (1, 3, 6, 6))
-    arrays = [params[n].data.copy() for n in names]
-
-    def f(ts):
-        for name, t in zip(names, ts):
-            _assign(blk, name, t)
-        out = blk(Tensor(x))
-        for name in names:
-            _assign(blk, name, params[name])
-        return _weighted_sum(out, r)
-
-    return check_scalar_fn(f, arrays)
+    return _check_module(blk, lambda: _weighted_sum(blk(Tensor(x)), r))
 
 
 FAMILIES = {
     "elementwise": _fam_elementwise,
-    "matmul": _fam_matmul,
+    "linear": _fam_linear,
     "conv2d": _fam_conv2d,
     "depthwise_conv1d": _fam_depthwise_conv1d,
     "norm": _fam_norm,
@@ -324,7 +328,7 @@ FAMILIES = {
     "pmd_block": _fam_pmd_block,
 }
 
-FAST_FAMILIES = ("elementwise", "matmul", "conv2d", "norm",
+FAST_FAMILIES = ("elementwise", "linear", "conv2d", "norm",
                  "softmax_cross_entropy", "dwt_diffusion", "selective_scan")
 
 
@@ -392,11 +396,11 @@ def check_model_micro(seed: int) -> float:
         with Tape() as tape:
             total_loss(model(Tensor(xc)), target, lw)
         for inputs, _, backward_fn in tape:
-            op = backward_fn.__qualname__.split(".")[0]
+            op = record_name(backward_fn)
             a = inputs[0].data
-            if op == "norm_affine":
+            if op == "tensor.norm_affine":
                 variances.append(float(a.var(axis=(0, 2, 3)).min()))
-            elif op == "relu":
+            elif op == "tensor.relu":
                 margins.append(float(np.abs(a).min()))
         return min(min(variances) / 3e-5, min(margins) / 1e-4)
 

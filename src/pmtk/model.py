@@ -313,14 +313,26 @@ def _grad_norm(params, grads: dict) -> float:
     return float(np.sqrt(sq))
 
 
+def _first_non_finite(model: PMamba, images, masks, weights: LossWeights) -> str:
+    """Replay a training forward under ``T.FiniteCheck`` with the current
+    weights; its DivergenceError message names the first non-finite op."""
+    try:
+        with np.errstate(all="ignore"), T.FiniteCheck():
+            total_loss(model(T.Tensor(images)), masks, weights)
+    except DivergenceError as err:
+        return str(err)
+    return "the checked replay stayed finite"
+
+
 def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> tuple:
     """Momentum-SGD training; returns (model, history rows as dicts).
 
     Fully determined by cfg.seed: initialization, shuffles and therefore the
     whole trajectory, so every history column but wall_s repeats. Writes the
     metric log incrementally when cfg.log_path is set (header LOG_HEADER).
-    Raises DivergenceError, naming the epoch and batch, as soon as a batch
-    loss is non-finite, before any update from it.
+    Raises DivergenceError, naming the epoch, the batch and the first op
+    whose output went non-finite, as soon as a batch loss is non-finite,
+    before any update from it.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -342,15 +354,18 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
             grad_norm = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                with T.Tape() as tape:
+                # overflow is reported below, by the op that caused it,
+                # instead of as numpy warnings from wherever it surfaced
+                with np.errstate(all="ignore"), T.Tape() as tape:
                     outputs = model(T.Tensor(images[idx]))
                     loss, parts = total_loss(outputs, masks[idx], cfg.loss_weights)
                 # a step on a non-finite loss would turn the weights into
                 # NaN without any error
                 if not np.isfinite(loss.item()):
+                    cause = _first_non_finite(model, images[idx], masks[idx], cfg.loss_weights)
                     raise DivergenceError(
                         f"non-finite loss {loss.item()} at epoch {epoch}, batch "
-                        f"{batches}; lower the learning rate (lr {cfg.lr})")
+                        f"{batches}: {cause}; lower the learning rate (lr {cfg.lr})")
                 grads = T.backward(tape, loss)
                 grad_norm = max(grad_norm, _grad_norm(opt.params, grads))
                 opt.step(grads)

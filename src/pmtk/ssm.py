@@ -157,23 +157,13 @@ class SsmParams(T.Module):
         self.D_skip = T.Parameter(np.ones(d))
 
 
-def _linear(x: T.Tensor, W: T.Tensor, b: T.Tensor | None = None) -> T.Tensor:
-    """x [..., Din] @ W [Din, Dout] (+ b) via flattening to 2-D."""
-    lead = x.shape[:-1]
-    out = T.matmul(T.reshape(x, (x.size // x.shape[-1], x.shape[-1])), W)
-    out = T.reshape(out, lead + (W.shape[1],))
-    if b is not None:
-        out = T.add_bcast(out, b)
-    return out
-
-
 def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor:
     """Input-dependent scan of a token sequence [Bn, L, D], last token first if ``reverse``."""
     if x.ndim != 3 or x.shape[2] != p.d:
         raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
-    delta = T.softplus(_linear(x, p.W_dt, p.b_dt))
-    Bmat = _linear(x, p.W_B)
-    Cmat = _linear(x, p.W_C)
+    delta = T.softplus(T.linear(x, p.W_dt, p.b_dt))
+    Bmat = T.linear(x, p.W_B)
+    Cmat = T.linear(x, p.W_C)
     A = T.scale(T.exp(p.A_log), -1.0)
     return scan_core(x, delta, A, Bmat, Cmat, p.D_skip, reverse)
 
@@ -233,7 +223,7 @@ def patch_embed(x: T.Tensor, n: int, W_proj: T.Tensor, E_pos: T.Tensor) -> T.Ten
     t = T.reshape(x, (Bn, C, h, n, w, n))
     t = T.transpose(t, (0, 2, 4, 1, 3, 5))          # [Bn,h,w,C,n,n]
     t = T.reshape(t, (Bn, h * w, C * n * n))
-    return T.add_bcast(_linear(t, W_proj), E_pos)
+    return T.add_bcast(T.linear(t, W_proj), E_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +256,12 @@ def vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
     if X.shape[-1] != w.d:
         raise DimensionError(f"vim_block: token width {X.shape[-1]} != weights width {w.d}")
     Xn = T.token_norm(X, w.norm_g, w.norm_b)
-    u = _linear(Xn, w.W_in, w.b_in)
-    z = _linear(Xn, w.W_gate, w.b_gate)
+    u = T.linear(Xn, w.W_in, w.b_in)
+    z = T.linear(Xn, w.W_gate, w.b_gate)
     u = T.silu(T.depthwise_conv1d(u, w.conv_w, w.conv_b))
     pre_gate = vim_scan_pair(u, w.fwd, w.bwd)
     y = T.mul(pre_gate, T.silu(z))
-    return _linear(y, w.W_out, w.b_out) + X
+    return T.linear(y, w.W_out, w.b_out) + X
 
 
 def vim_scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:

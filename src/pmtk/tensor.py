@@ -1,12 +1,13 @@
 """Dense tensor container and a reverse-mode differentiation tape.
 
 The operation set is exactly what the segmentation pipeline needs: elementwise
-arithmetic, 2-D matmul, 3x3/1x1 convolution, batch-stat and token-wise
+arithmetic, linear layers, 3x3/1x1 convolution, batch-stat and token-wise
 normalization, bilinear upsampling, pixelwise softmax cross-entropy, and a few
 shape movers. Every primitive computes its forward value eagerly with numpy
 and, when a tape is active, records a backward closure. Replaying the tape in
 reverse of recording order is a valid topological order because the graph is
-built eagerly.
+built eagerly. The tape is the one instrumentation point: ``FiniteCheck`` is a
+tape that stops at the first non-finite record, named by ``record_name``.
 
 Every layout-aware primitive takes a leading batch axis: feature maps are
 [B,C,H,W] and token sequences are [B,L,D]. A single image or sequence is a
@@ -19,16 +20,13 @@ pure and safe to call concurrently on disjoint data.
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import precision
-from .errors import ConfigError, DataError, DimensionError, UsageError
-
-# When enabled, every primitive asserts that its output is finite.
-DEBUG_CHECK_FINITE = os.environ.get("PMTK_DEBUG", "") not in ("", "0")
+from .errors import (ConfigError, DataError, DimensionError, DivergenceError,
+                     UsageError)
 
 
 class Tensor:
@@ -127,6 +125,25 @@ class Tape:
         return iter(self._records)
 
 
+def record_name(backward_fn: Callable) -> str:
+    """``module.op`` of a tape record: the module of its backward closure and
+    the first part of the closure's qualified name, which is the public op
+    that made it (``tensor.linear``, ``ssm.scan_core``, ``pmd.pmd_apply``)."""
+    module = backward_fn.__module__.rpartition(".")[2]
+    return f"{module}.{backward_fn.__qualname__.split('.')[0]}"
+
+
+class FiniteCheck(Tape):
+    """A tape that raises DivergenceError, naming the record by ``record_name``
+    and its tape index, at the first record whose output is non-finite."""
+
+    def record(self, inputs: tuple, output: Tensor, backward_fn: Callable) -> None:
+        if not np.isfinite(output.data).all():
+            raise DivergenceError(f"{record_name(backward_fn)} (tape record {len(self)}) "
+                                  f"produced a non-finite value")
+        super().record(inputs, output, backward_fn)
+
+
 _stack: list[Tape] = []
 
 
@@ -135,8 +152,6 @@ def active_tape() -> Tape | None:
 
 
 def record_op(inputs: tuple, out_data: np.ndarray, backward_fn: Callable) -> Tensor:
-    if DEBUG_CHECK_FINITE and not np.all(np.isfinite(out_data)):
-        raise FloatingPointError("non-finite values produced by a tensor primitive")
     out = Tensor(out_data)
     tape = active_tape()
     if tape is not None:
@@ -292,13 +307,32 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 # Linear algebra
 # ---------------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
-    ad, bd = a.data, b.data
-    return record_op((a, b), ad @ bd, lambda g: (g @ bd.T, ad.T @ g))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x [..., Din] @ w [Din, Dout] (+ b [Dout]) -> [..., Dout], one record.
+
+    The leading axes are flattened into the rows of one 2-D product.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear: inner extents differ, {x.shape} x {w.shape}")
+    Din, Dout = w.shape
+    if b is not None and b.shape != (Dout,):
+        raise DimensionError(f"linear: bias must have shape ({Dout},), got {b.shape}")
+    x2, wd = x.data.reshape(-1, Din), w.data
+    out = x2 @ wd
+    if b is not None:
+        out += b.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, Dout)
+        gx, gw = (g2 @ wd.T).reshape(x.shape), x2.T @ g2
+        if b is None:
+            return gx, gw
+        # summed over the unflattened leading axes: numpy orders that sum
+        # differently from a sum over the rows of g2
+        return gx, gw, g.sum(axis=tuple(range(g.ndim - 1)))
+
+    inputs = (x, w) if b is None else (x, w, b)
+    return record_op(inputs, out.reshape(x.shape[:-1] + (Dout,)), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +406,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     return record_op((x, w), out, bwd)
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Width-3 per-channel convolution along the sequence axis of [B,L,D].
+def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Width-3 per-channel convolution along the sequence axis of [B,L,D], plus bias.
 
     Zero padding of one step on each side keeps the sequence length.
     """
@@ -385,9 +419,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
         raise DimensionError(f"depthwise_conv1d: kernel must be [3,{D}], got {w.shape}")
     xp = np.pad(xd, ((0, 0), (1, 1), (0, 0)))
     wd = w.data
-    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2]
-    if bias is not None:
-        out = out + bias.data
+    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2] + bias.data
 
     def bwd(g):
         gp = np.zeros_like(xp)
@@ -400,12 +432,9 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor
             (xp[:, 1:L + 1] * g).sum(axis=(0, 1)),
             (xp[:, 2:L + 2] * g).sum(axis=(0, 1)),
         ])
-        if bias is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(0, 1))
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return record_op(inputs, out, bwd)
+    return record_op((x, w, bias), out, bwd)
 
 
 # ---------------------------------------------------------------------------

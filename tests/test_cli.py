@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, output files, @-config replay."""
 
+import re
 import subprocess
 import sys
 
@@ -106,7 +107,7 @@ def test_train_eval_chain(tmp_path):
     assert lines[-1].startswith("mean,")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_1_with_message(tmp_path, capsys):
     root = tmp_path / "data"
     # 10 samples split 8/1/1, so training has a validation split
@@ -114,7 +115,10 @@ def test_train_divergence_exits_1_with_message(tmp_path, capsys):
     rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"),
                "--epochs", "2", "--lr", "5.0", "--batch-size", "4"])
     assert rc == 1
-    assert "non-finite loss nan at epoch 1, batch 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite loss nan at epoch 1, batch 1" in err
+    # the message names the first op whose output went non-finite
+    assert re.search(r"batch 1: \w+\.\w+ \(tape record \d+\) produced a non-finite value", err)
     assert not (tmp_path / "m.ckpt").exists()
 
 

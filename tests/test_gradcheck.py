@@ -14,7 +14,7 @@ from pmtk.cli import main
 from pmtk.gradcheck import (FAMILIES, FAST_FAMILIES, check_scalar_fn,
                             finite_diff_grad, max_rel_err, noise_floor_coeff,
                             run_gradient_suite, tolerance)
-from pmtk.tensor import matmul, tsum
+from pmtk.tensor import linear, tsum
 
 
 def test_finite_diff_on_quadratic_is_exact_to_truncation():
@@ -41,7 +41,7 @@ def test_check_scalar_fn_small_on_correct_gradient():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
-    err = check_scalar_fn(lambda ts: tsum(matmul(ts[0], ts[1])), [a, b])
+    err = check_scalar_fn(lambda ts: tsum(linear(ts[0], ts[1])), [a, b])
     assert err < tolerance()
 
 

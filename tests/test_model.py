@@ -191,14 +191,15 @@ def test_train_toy_deterministic():
         np.testing.assert_array_equal(p1.data, p2.data)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_toy_raises_on_divergence():
     # lr 1.0 drives the micro model's loss to NaN in the second epoch; the
-    # error must name the step instead of handing back NaN weights
+    # error must name the step and the op that first went non-finite instead
+    # of handing back NaN weights, and numpy must not warn on the way
     samples = synth_generate(SynthConfig(seed=0, count=8, size=32))
     cfg = TrainConfig(epochs=2, batch_size=4, lr=1.0, seed=0, size=32,
                       plan=MICRO_PLAN)
-    with pytest.raises(DivergenceError, match="epoch 1, batch 1"):
+    with pytest.raises(DivergenceError, match=r"epoch 1, batch 1: \w+\.\w+ \(tape record \d+\)"):
         train_toy(samples, [], cfg)
 
 

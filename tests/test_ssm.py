@@ -150,7 +150,8 @@ _UNBATCHED_CALLS = {
     "softmax_cross_entropy": lambda: T.softmax_cross_entropy(
         T.Tensor(np.zeros((3, 2, 2))), np.zeros((2, 2), dtype=np.int64)),
     "depthwise_conv1d": lambda: T.depthwise_conv1d(T.Tensor(np.zeros((5, 3))),
-                                                   T.Tensor(np.zeros((3, 3)))),
+                                                   T.Tensor(np.zeros((3, 3))),
+                                                   T.Tensor(np.zeros(3))),
     "selective_scan": lambda: selective_scan(T.Tensor(np.zeros((5, 3))),
                                              SsmParams(np.random.default_rng(0), d=3)),
     "map_to_tokens": lambda: map_to_tokens(T.Tensor(np.zeros((2, 2, 2)))),

@@ -10,7 +10,7 @@ import pytest
 
 from pmtk import precision
 from pmtk import tensor as T
-from pmtk.errors import DataError, DimensionError
+from pmtk.errors import DataError, DimensionError, DivergenceError
 
 
 def scalar_graph(a, b):
@@ -91,9 +91,43 @@ def test_concat_roundtrip_gradient():
     np.testing.assert_allclose(T.grad_of(grads, b), [6.0])
 
 
-def test_matmul_shapes_checked():
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_linear_matches_einsum(with_bias):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    b = rng.standard_normal(5)
+    with precision.use("f64"):
+        args = [T.Tensor(x), T.Tensor(w)] + ([T.Tensor(b)] if with_bias else [])
+        out = T.linear(*args)
+    expect = np.einsum("bli,io->blo", x, w) + (b if with_bias else 0.0)
+    assert out.shape == (2, 3, 5)
+    np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+
+
+def test_linear_shapes_checked():
+    x = T.Tensor(np.ones((2, 3, 4)))
     with pytest.raises(DimensionError):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+        T.linear(x, T.Tensor(np.ones((3, 5))))
+    with pytest.raises(DimensionError):
+        T.linear(x, T.Tensor(np.ones((4, 5))), T.Tensor(np.ones(4)))
+
+
+def test_finite_check_names_first_non_finite_record():
+    with precision.use("f32"), np.errstate(all="ignore"):
+        x = T.Tensor(np.full(3, 1e4))
+        with T.Tape():
+            assert np.isinf(T.exp(T.scale(x, 1.0)).data).all()
+        with pytest.raises(DivergenceError, match=r"tensor\.exp \(tape record 1\)"):
+            with T.FiniteCheck():
+                T.exp(T.scale(x, 1.0))
+
+
+def test_record_name_is_module_and_op():
+    with T.Tape() as tape:
+        T.relu(T.Tensor(np.ones(2)))
+    (_, _, backward_fn), = tape
+    assert T.record_name(backward_fn) == "tensor.relu"
 
 
 def test_conv2d_identity_kernel():
