@@ -20,7 +20,7 @@ import numpy as np
 from . import serialize
 from .data import (SynthConfig, load_dataset, load_image, save_dataset,
                    save_image, split, synth_generate)
-from .errors import DataError, PmtkError
+from .errors import ConfigError, DataError, PmtkError
 from .gradcheck import (FAMILIES, FAST_FAMILIES, check_model_micro,
                         run_gradient_suite, tolerance)
 from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
@@ -64,16 +64,18 @@ def _write_csv(path, header: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_denoise(args) -> int:
-    u = load_image(args.input)[0]
     if args.mode == "fd":
         dt = 0.25 if args.dt is None else args.dt
         cfg = DiffusionConfig(k=args.k, steps=args.steps, dt=dt)
         step_fn = pmd_step_fd
+    elif args.dt is not None:
+        # pmd_step_dwt applies its gate once per step and never reads cfg.dt
+        raise ConfigError(f"--dt applies only to --mode fd, not {args.mode}")
     else:
-        dt = 1.0 if args.dt is None else args.dt
         mode = "attenuate" if args.mode == "dwt-attenuate" else "as-written"
-        cfg = DiffusionConfig(k=args.k, steps=args.steps, dt=dt, mode=mode)
+        cfg = DiffusionConfig(k=args.k, steps=args.steps, mode=mode)
         step_fn = pmd_step_dwt
+    u = load_image(args.input)[0]
     out, rows = denoise_with_log(u, cfg, step_fn)
     save_image(args.output, np.clip(out, 0.0, 1.0))
     csv_path = args.csv or args.output + ".csv"
@@ -196,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=DENOISE_MODES, default="dwt-attenuate")
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=None,
+                   help="time step of --mode fd (default 0.25)")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_denoise)
 

@@ -1,23 +1,29 @@
 """Finite-difference verification of tape gradients.
 
-Tape gradients are computed under the ambient precision mode; the
-central-difference reference always evaluates the probed function in 64-bit,
-so the difference quotient carries roundoff ~eps64*|loss|/h instead of the
-~1e-4 a 32-bit forward would inject. What the comparison then measures is
-the correctness of the backward formulas plus the 32-bit tape's own
-rounding, which is what the 1e-3 (32-bit) / 1e-6 (64-bit) tolerances are
-for.
+Tape gradients are computed under the ambient precision mode. Every
+reference comes from ``central_diff``: it rebinds each probed leaf's
+``.data`` to a 64-bit copy, perturbs the picked elements of those copies in
+place and evaluates the objective in 64-bit, so the difference quotient
+carries roundoff ~eps64*|loss|/h instead of the ~1e-4 a 32-bit forward would
+inject. The copies hold the ambient-precision values exactly, so the probes
+run at the tape's own point. What the comparison then measures is the
+correctness of the backward formulas plus the 32-bit tape's own rounding,
+which is what the 1e-3 (32-bit) / 1e-6 (64-bit) tolerances are for.
 
-The step is h=1e-5 in both modes. Large enough that a relu pre-activation
-a few 1e-4 from zero is not straddled by the probe pair, small enough that
-quotient roundoff stays ~1e-10 per unit of loss magnitude.
+The op families use a step of h=1e-5 in both modes. Large enough that a
+relu pre-activation a few 1e-4 from zero is not straddled by the probe pair,
+small enough that quotient roundoff stays ~1e-10 per unit of loss magnitude.
+The micro model uses h=1e-7 (see ``check_model_micro``).
 
-Comparison is elementwise relative error |a-b| / max(|a|,|b|), skipping
-entries where both magnitudes sit below a noise floor. The floor scales
-with the loss magnitude: the quotient's absolute resolution is set by
+There are two comparison rules, both relative to a noise floor that scales
+with the loss magnitude (the quotient's absolute resolution is set by
 eps64*|loss|/h, so gradient entries many orders below the loss scale are
-unresolvable by any finite difference and carry no information. Entries
-above the floor are still held to the full relative tolerance.
+unresolvable by any finite difference):
+
+* the op families use ``max_rel_err``, |a-b| / max(|a|,|b|) over the entries
+  where either magnitude reaches the floor; entries below it are skipped;
+* ``check_model_micro`` uses |a-b| / max(|a|,|b|,floor) on every probed
+  entry, so an entry below the floor still counts, scaled by the floor.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import precision
+from . import tensor as T
+from .model import MICRO_PLAN, LossWeights, PMamba, total_loss
+from .pmd import GateTrace, PmdBlock, pmd_apply
+from .ssm import VimBlockWeights, scan_core, vim_block
 from .tensor import Tape, Tensor, backward, grad_of, record_name
 
 
@@ -44,23 +54,38 @@ def tolerance() -> float:
     return 1e-6 if precision.is_double() else 1e-3
 
 
-def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
-                     h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function, probe by probe."""
-    h = fd_step() if h is None else h
-    x = np.array(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + h
-        fp = float(f(x))
-        flat[i] = keep - h
-        fm = float(f(x))
-        flat[i] = keep
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return g
+def central_diff(objective: Callable[[], float], leaves: Sequence[Tensor],
+                 picks: Sequence[Sequence[int]], h: float) -> list[np.ndarray]:
+    """Central differences of ``objective()`` at the picked flat elements of
+    each leaf: one 64-bit array per leaf, aligned with its picks.
+
+    Every leaf's ``.data`` is rebound to a 64-bit copy for the duration, so
+    the objective runs in 64-bit at the same point; the picked elements of
+    the copies are perturbed in place, and the original arrays are rebound
+    in a ``finally``.
+    """
+    originals = [t.data for t in leaves]
+    fds = []
+    try:
+        with precision.use("f64"):
+            for t in leaves:
+                t.data = np.array(t.data, dtype=np.float64, order="C")
+            for t, idx in zip(leaves, picks):
+                flat = t.data.reshape(-1)
+                fd = np.empty(len(idx))
+                for n, j in enumerate(idx):
+                    keep = flat[j]
+                    flat[j] = keep + h
+                    fp = objective()
+                    flat[j] = keep - h
+                    fm = objective()
+                    flat[j] = keep
+                    fd[n] = (fp - fm) / (2.0 * h)
+                fds.append(fd)
+    finally:
+        for t, data in zip(leaves, originals):
+            t.data = data
+    return fds
 
 
 def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
@@ -74,34 +99,30 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     return float((np.abs(a - b)[mask] / mag[mask]).max())
 
 
+def _check_leaves(loss_fn: Callable[[], Tensor], leaves: Sequence[Tensor],
+                  floor: float | None = None) -> float:
+    """Worst ``max_rel_err`` of the tape gradients of ``loss_fn()`` against
+    central differences over every element of every leaf."""
+    with Tape() as tape:
+        loss = loss_fn()
+    grads = backward(tape, loss)
+    analytic = [grad_of(grads, t).reshape(-1) for t in leaves]
+    if floor is None:
+        floor = noise_floor_coeff() * max(1.0, abs(loss.item()))
+    fds = central_diff(lambda: loss_fn().item(), leaves,
+                       [range(t.size) for t in leaves], fd_step())
+    return max(max_rel_err(a, fd, floor) for a, fd in zip(analytic, fds))
+
+
 def check_scalar_fn(f: Callable[[Sequence[Tensor]], Tensor],
                     xs: Sequence[np.ndarray], floor: float | None = None) -> float:
     """Worst relative error of tape gradients of ``f`` vs central differences.
 
-    ``f`` maps a list of Tensors to a scalar Tensor; it is evaluated once on
-    the tape under the ambient precision and repeatedly in 64-bit for the
-    reference.
+    ``f`` maps a list of Tensors, built from ``xs`` under the ambient
+    precision, to a scalar Tensor.
     """
-    tensors = [Tensor(x) for x in xs]
-    with Tape() as tape:
-        loss = f(tensors)
-    grads = backward(tape, loss)
-    analytic = [grad_of(grads, t) for t in tensors]
-    if floor is None:
-        floor = noise_floor_coeff() * max(1.0, abs(float(loss.item())))
-
-    h = fd_step()
-    worst = 0.0
-    with precision.use("f64"):
-        for i in range(len(xs)):
-            def probe(xi, i=i):
-                args = [Tensor(x) for x in xs]
-                args[i] = Tensor(xi)
-                return f(args).item()
-
-            fd = finite_diff_grad(probe, xs[i], h)
-            worst = max(worst, max_rel_err(analytic[i], fd, floor))
-    return worst
+    leaves = [Tensor(x) for x in xs]
+    return _check_leaves(lambda: f(leaves), leaves, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +135,10 @@ def _signed(rng, shape):
 
 
 def _weighted_sum(out, r):
-    from . import tensor as T
     return T.tsum(T.mul_const(out, r))
 
 
 def _fam_elementwise(rng):
-    from . import tensor as T
     x = _signed(rng, (3, 4))
     y = _signed(rng, (3, 4))
     r = rng.uniform(0.5, 1.5, (3, 4))
@@ -135,7 +154,6 @@ def _fam_elementwise(rng):
 
 
 def _fam_linear(rng):
-    from . import tensor as T
     # a 3-D input, so the flattening of the leading axes is probed
     x = _signed(rng, (2, 3, 4))
     w = _signed(rng, (4, 2))
@@ -149,7 +167,6 @@ def _fam_linear(rng):
 
 
 def _fam_conv2d(rng):
-    from . import tensor as T
     # batched and non-square, so the batch sum in gw and a swapped H/W are
     # probed; the 1x1 pad-0 case runs the branch without im2col
     worst = 0.0
@@ -165,7 +182,6 @@ def _fam_conv2d(rng):
 
 
 def _fam_depthwise_conv1d(rng):
-    from . import tensor as T
     x = _signed(rng, (2, 6, 3))
     w = _signed(rng, (3, 3))
     b = _signed(rng, (3,))
@@ -175,7 +191,6 @@ def _fam_depthwise_conv1d(rng):
 
 
 def _fam_norm(rng):
-    from . import tensor as T
     worst = 0.0
     x = _signed(rng, (2, 3, 4, 4))
     g = rng.uniform(0.5, 1.5, (3,))
@@ -193,7 +208,6 @@ def _fam_norm(rng):
 
 
 def _fam_upsample(rng):
-    from . import tensor as T
     # non-square and batched, so a swapped row/column matrix cannot pass
     worst = 0.0
     for factor in (2, 4):
@@ -205,7 +219,6 @@ def _fam_upsample(rng):
 
 
 def _fam_cross_entropy(rng):
-    from . import tensor as T
     logits = _signed(rng, (2, 3, 2, 2)) * 1.5
     target = rng.integers(0, 3, (2, 2, 2))
     # Scale up so gradient entries (~|p - y|/Npix) sit well above the floor.
@@ -221,8 +234,6 @@ def _fam_diffusion(rng):
     right check for a linear map L with recorded backward L* is the dot test
     <L x, y> = <x, L* y>.
     """
-    from . import tensor as T
-    from .pmd import pmd_apply
     worst = 0.0
     for mode in ("attenuate", "as-written"):
         x = T.Tensor(_signed(rng, (2, 6, 6)))
@@ -238,7 +249,6 @@ def _fam_diffusion(rng):
 
 
 def _fam_scan(rng):
-    from .ssm import scan_core
     # Bn > 1 so the batch sums in gA and gDskip are probed
     Bn, L, D, S = 2, 5, 3, 2
     worst = 0.0
@@ -256,47 +266,11 @@ def _fam_scan(rng):
     return worst
 
 
-def _check_module(module, forward: Callable, inputs: Sequence[np.ndarray] = ()) -> float:
-    """Worst fd error of ``forward(*inputs)`` over its inputs and every
-    parameter of ``module``.
-
-    Each evaluation rebinds the parameters to probe tensors so tape gradients
-    attach, and rebinds the originals in a ``finally``: an error in the
-    forward leaves no probe tensor bound into the module.
-    """
-    named = list(module.named_parameters())
-    k = len(inputs)
-
-    def f(ts):
-        try:
-            for (name, _), t in zip(named, ts[k:]):
-                _assign(module, name, t)
-            return forward(*ts[:k])
-        finally:
-            for name, p in named:
-                _assign(module, name, p)
-
-    return check_scalar_fn(f, list(inputs) + [p.data.copy() for _, p in named])
-
-
 def _fam_vim_block(rng):
-    from .ssm import VimBlockWeights, vim_block
     w = VimBlockWeights(np.random.default_rng(int(rng.integers(1 << 31))), d=4, s=2)
-    x = _signed(rng, (1, 6, 4))
+    x = Tensor(_signed(rng, (1, 6, 4)))
     r = rng.uniform(0.5, 1.5, x.shape)
-    return _check_module(w, lambda xt: _weighted_sum(vim_block(xt, w), r), [x])
-
-
-def _assign(module, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    obj = module
-    for p in parts[:-1]:
-        obj = obj[int(p)] if p.isdigit() else getattr(obj, p)
-    last = parts[-1]
-    if last.isdigit():
-        obj[int(last)] = value
-    else:
-        setattr(obj, last, value)
+    return _check_leaves(lambda: _weighted_sum(vim_block(x, w), r), [x, *w.parameters()])
 
 
 def _fam_pmd_block(rng):
@@ -306,12 +280,11 @@ def _fam_pmd_block(rng):
     (the diffusion gate is frozen), while parameter gradients are exact since
     the gate depends only on the input.
     """
-    from .pmd import PmdBlock
     blk = PmdBlock(np.random.default_rng(int(rng.integers(1 << 31))), 2, 3,
                    stride=1, preprocess="dwt")
-    x = _signed(rng, (1, 2, 6, 6))
+    x = Tensor(_signed(rng, (1, 2, 6, 6)))
     r = rng.uniform(0.5, 1.5, (1, 3, 6, 6))
-    return _check_module(blk, lambda: _weighted_sum(blk(Tensor(x)), r))
+    return _check_leaves(lambda: _weighted_sum(blk(x), r), blk.parameters())
 
 
 FAMILIES = {
@@ -344,11 +317,6 @@ def check_model_micro(seed: int) -> float:
     probe under one that replays its gates; probing the re-derived gate
     would differentiate a different function than the tape does.
 
-    Probes run through a 64-bit copy of the weights: unlike the per-op suite,
-    whose probe closures rebuild their inputs under the 64-bit context, the
-    model holds its arrays in the ambient dtype, and in 32-bit mode those
-    would drag the probe forward back down to 32-bit.
-
     The step and floor differ from the per-op suite. Stem weights sit under
     the full depth of the network, and the objective's curvature along them
     is orders of magnitude larger than along any single op's inputs (measured
@@ -361,9 +329,6 @@ def check_model_micro(seed: int) -> float:
     resolve entries four orders below the loss scale at any step size;
     entries above the floor still face the full relative tolerance.
     """
-    from .model import MICRO_PLAN, LossWeights, PMamba, total_loss
-    from .pmd import GateTrace
-
     rng = np.random.default_rng(seed)
     model = PMamba(np.random.default_rng(int(rng.integers(1 << 31))),
                    MICRO_PLAN, size=32)
@@ -426,40 +391,14 @@ def check_model_micro(seed: int) -> float:
             val, _ = total_loss(model(xt), target, lw)
         return float(val.item())
 
-    params = [p for _, p in model.named_parameters()]
-    picks = [(ti, int(rng.integers(p.data.size))) for ti, p in enumerate(params)]
-
-    h = 1e-7
-    worst = 0.0
-    with precision.use("f64"):
-        # Probe through a 64-bit copy of the weights and input. Ops follow
-        # operand dtype, so probing through the stored 32-bit arrays would
-        # keep the early layers of the probe forward in 32-bit and bury the
-        # quotient under eps32*|loss|/h noise at this step size. Upcasting
-        # is exact: the probes still evaluate the same function at the same
-        # point, just without artificial rounding.
-        stash = [p.data for p in params]
-        x_stash = xt.data
-        for p in params:
-            p.data = p.data.astype(np.float64)
-        xt.data = xt.data.astype(np.float64)
-        try:
-            for ti, j in picks:
-                flat = params[ti].data.reshape(-1)
-                keep = flat[j]
-                flat[j] = keep + h
-                fp = objective()
-                flat[j] = keep - h
-                fm = objective()
-                flat[j] = keep
-                fd = (fp - fm) / (2.0 * h)
-                an = float(grad_of(grads, params[ti]).reshape(-1)[j])
-                worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), floor))
-        finally:
-            for p, d in zip(params, stash):
-                p.data = d
-            xt.data = x_stash
-    return worst
+    params = model.parameters()
+    picks = [[int(rng.integers(p.size))] for p in params]
+    # the input is a leaf with no picks, so central_diff upcasts it as well
+    # and no layer of the probe forward runs in 32-bit
+    fd = np.concatenate(central_diff(objective, params + [xt], picks + [[]], h=1e-7))
+    an = np.array([grad_of(grads, p).reshape(-1)[j] for p, (j,) in zip(params, picks)],
+                  dtype=np.float64)
+    return float((np.abs(an - fd) / np.maximum(np.maximum(np.abs(an), np.abs(fd)), floor)).max())
 
 
 def run_gradient_suite(families=None, seeds=(0, 1, 2, 3, 4)) -> list:

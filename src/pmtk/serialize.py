@@ -113,8 +113,16 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_into(module, loaded: dict) -> None:
-    """Copy loaded arrays into a module's parameters, matching by name."""
-    for name, p in module.named_parameters():
+    """Copy loaded arrays into a module's parameters, matching by name.
+
+    Every parameter must be in the checkpoint and every checkpoint entry must
+    name a parameter; either mismatch means the checkpoint is of another model.
+    """
+    named = list(module.named_parameters())
+    extra = sorted(set(loaded) - {name for name, _ in named})
+    if extra:
+        raise FormatError(f"checkpoint has entries the model lacks: {', '.join(extra)}")
+    for name, p in named:
         if name not in loaded:
             raise FormatError(f"checkpoint missing parameter {name}")
         a = loaded[name]

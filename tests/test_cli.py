@@ -41,6 +41,24 @@ def test_denoise_fd_mode(tmp_path, image_file):
     assert load_image(out).shape == (1, 32, 32)
 
 
+@pytest.mark.parametrize("mode", ["dwt-attenuate", "dwt-aswritten"])
+def test_denoise_dt_rejected_in_wavelet_modes(tmp_path, image_file, capsys, mode):
+    out = tmp_path / "o.pgm"
+    rc = main(["denoise", "--in", str(image_file), "--out", str(out),
+               "--mode", mode, "--dt", "0.1"])
+    assert rc == 1
+    assert "--dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_denoise_fd_mode_takes_dt(tmp_path, image_file):
+    out = tmp_path / "fd.pgm"
+    rc = main(["denoise", "--in", str(image_file), "--out", str(out),
+               "--mode", "fd", "--dt", "0.2", "--steps", "2"])
+    assert rc == 0
+    assert "--dt\n0.2" in (tmp_path / "fd.pgm.config").read_text()
+
+
 def test_denoise_missing_input_is_runtime_error(tmp_path):
     rc = main(["denoise", "--in", str(tmp_path / "nope.pgm"),
                "--out", str(tmp_path / "o.pgm")])

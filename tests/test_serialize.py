@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from pmtk.errors import FormatError
-from pmtk.serialize import (load_checkpoint, load_tensor, save_checkpoint,
-                            save_tensor)
-from pmtk.tensor import Parameter
+from pmtk.serialize import (load_checkpoint, load_tensor, restore_into,
+                            save_checkpoint, save_tensor)
+from pmtk.tensor import Module, Parameter
 
 
 def test_tensor_roundtrip_f64(tmp_path):
@@ -128,3 +128,16 @@ def test_checkpoint_malformed_manifest_line(tmp_path):
 def test_empty_checkpoint_rejected(tmp_path):
     with pytest.raises(FormatError):
         save_checkpoint(tmp_path / "ck.pmtk", [])
+
+
+def test_restore_rejects_entries_the_model_lacks(tmp_path):
+    module = Module()
+    module.w = Parameter(np.arange(3.0))
+    p = tmp_path / "ck.pmtk"
+    save_checkpoint(p, module.named_parameters())
+    man = tmp_path / "ck.pmtk.manifest"
+    man.write_text(man.read_text() + "extra.w 1 2\n")
+    loaded = load_checkpoint(p)
+    assert set(loaded) == {"w", "extra.w"}
+    with pytest.raises(FormatError, match="extra.w"):
+        restore_into(module, loaded)
