@@ -15,8 +15,10 @@ Two solvers share one diffusivity g(m) = 1 / (1 + (m/k)^2):
   which sharpens rather than smooths and is kept for comparison.
 
 Both wavelet users, ``pmd_step_dwt`` and the tape op ``pmd_apply``, apply a
-gate through one map, ``_gated``; the fd solver and the denoising log share
-one forward-difference helper, ``_forward_diff``.
+gate through one map, ``_gated``. The fd solver and the denoising log's masks
+share one forward-difference helper, ``_forward_diff``; each logged step then
+takes its forward differences at the edge pixels only, through the neighbour
+indices of ``_forward_neighbours``.
 
 ``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
 unit. The diffusion gate g is frozen during the backward pass (it is computed
@@ -75,6 +77,20 @@ def _forward_diff(u: np.ndarray) -> tuple:
     dx[..., :, :-1] = u[..., :, 1:] - u[..., :, :-1]
     dy[..., :-1, :] = u[..., 1:, :] - u[..., :-1, :]
     return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+def _forward_neighbours(idx: np.ndarray, shape: tuple) -> tuple:
+    """Flat indices of the right and down neighbours of flat indices ``idx``.
+
+    Rows and columns are the trailing two axes of ``shape``. On the last
+    column (row) a pixel is its own right (down) neighbour, so its forward
+    difference is exactly 0, as in ``_forward_diff``.
+    """
+    h, w = shape[-2:]
+    col = idx % w
+    row = idx // w % h
+    return (np.where(col < w - 1, idx + 1, idx),
+            np.where(row < h - 1, idx + w, idx))
 
 
 def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
@@ -142,13 +158,24 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
     pixels. edge_contrast: mean gradient magnitude over the initially
     strongest decile. Both masks come from the input, so rows are comparable
     across steps.
+
+    Index sets: the two masks of ``_measurement_masks(u0)`` become flat
+    indices once, in C order as boolean indexing visits them, and stay fixed
+    for the run. Each step reads ``u`` only at those indices and at the edge
+    pixels' right and down neighbours (``_forward_neighbours``). The values,
+    their order and the reductions are those of masking the full
+    ``_forward_diff`` magnitude, so the rows are the same bit for bit.
     """
     fn = step_fn or pmd_step_dwt
-    flat, edge = _measurement_masks(u0)
+    flat, edge = (np.flatnonzero(m) for m in _measurement_masks(u0))
+    right, down = _forward_neighbours(edge, u0.shape)
 
     def measure(u, step):
-        mag = _forward_diff(u)[2]
-        return (step, float(u[flat].var()), float(mag[edge].mean()))
+        v = u.reshape(-1)
+        at = v[edge]
+        dx = v[right] - at
+        dy = v[down] - at
+        return (step, float(v[flat].var()), float(np.sqrt(dx * dx + dy * dy).mean()))
 
     u = u0.copy()
     rows = [measure(u, 0)]

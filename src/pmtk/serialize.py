@@ -117,6 +117,8 @@ def restore_into(module, loaded: dict) -> None:
 
     Every parameter must be in the checkpoint and every checkpoint entry must
     name a parameter; either mismatch means the checkpoint is of another model.
+    Every entry is checked before any is copied, so a rejected checkpoint
+    leaves the module as it was.
     """
     named = list(module.named_parameters())
     extra = sorted(set(loaded) - {name for name, _ in named})
@@ -128,4 +130,5 @@ def restore_into(module, loaded: dict) -> None:
         a = loaded[name]
         if a.shape != p.data.shape:
             raise FormatError(f"{name}: shape {a.shape} does not match model {p.data.shape}")
-        p.data[...] = a.astype(p.data.dtype)
+    for name, p in named:
+        p.data[...] = loaded[name].astype(p.data.dtype)

@@ -1,12 +1,15 @@
 """Command-line behavior: exit codes, output files, @-config replay."""
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pmtk
 from pmtk.cli import main
 from pmtk.data import load_dataset, load_image, save_image
 
@@ -57,6 +60,20 @@ def test_denoise_fd_mode_takes_dt(tmp_path, image_file):
                "--mode", "fd", "--dt", "0.2", "--steps", "2"])
     assert rc == 0
     assert "--dt\n0.2" in (tmp_path / "fd.pgm.config").read_text()
+
+
+def test_python_dash_m_pmtk_denoise_matches_in_process(tmp_path, image_file):
+    # an uninstalled checkout reaches the CLI as `python -m pmtk`
+    src = str(Path(pmtk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    sub, here = tmp_path / "sub.pgm", tmp_path / "here.pgm"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmtk", "denoise", "--in", str(image_file),
+         "--out", str(sub)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["denoise", "--in", str(image_file), "--out", str(here)]) == 0
+    assert sub.read_bytes() == here.read_bytes()
+    assert (tmp_path / "sub.pgm.csv").read_bytes() == (tmp_path / "here.pgm.csv").read_bytes()
 
 
 def test_denoise_missing_input_is_runtime_error(tmp_path):

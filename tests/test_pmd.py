@@ -9,6 +9,9 @@ from pmtk.pmd import (
     DiffusionConfig,
     GateTrace,
     PmdBlock,
+    _forward_diff,
+    _forward_neighbours,
+    _measurement_masks,
     denoise_with_log,
     diffusivity,
     edge_benchmark,
@@ -180,6 +183,65 @@ def test_denoise_log_rows_and_flat_variance():
     assert rows[0][0] == 0 and rows[-1][0] == 6
     assert rows[-1][1] < rows[0][1]  # noise variance on the flat set drops
     assert final.shape == u0.shape
+
+
+def reference_log(u0, cfg, step_fn):
+    """The log by its first definition: full forward differences, boolean masks."""
+    flat, edge = _measurement_masks(u0)
+
+    def measure(u, step):
+        mag = _forward_diff(u)[2]
+        return (step, float(u[flat].var()), float(mag[edge].mean()))
+
+    u = u0.copy()
+    rows = [measure(u, 0)]
+    for step in range(1, cfg.steps + 1):
+        u = step_fn(u, cfg)
+        rows.append(measure(u, step))
+    return u, rows
+
+
+FD_CFG = DiffusionConfig(k=0.5, steps=4, dt=0.2)
+
+
+@pytest.mark.parametrize("shape, cfg, step_fn", [
+    ((6, 8), FD_CFG, pmd_step_fd),
+    ((5, 7), FD_CFG, pmd_step_fd),
+    ((1, 9), FD_CFG, pmd_step_fd),
+    ((16, 12), DiffusionConfig(k=0.5, steps=4), pmd_step_dwt),
+    ((16, 12), DiffusionConfig(k=0.5, steps=4, mode="as-written"), pmd_step_dwt),
+    ((2, 8, 10), DiffusionConfig(k=0.5, steps=3), pmd_step_dwt),
+    ((2, 5, 7), FD_CFG, pmd_step_fd),
+], ids=["fd-6x8", "fd-5x7", "fd-1x9", "dwt-attenuate", "dwt-as-written",
+        "dwt-stacked", "fd-stacked"])
+def test_denoise_log_matches_masked_full_differences(shape, cfg, step_fn):
+    u0 = np.random.default_rng(3).uniform(0.0, 1.0, shape)
+    out, rows = denoise_with_log(u0, cfg, step_fn)
+    ref_out, ref_rows = reference_log(u0, cfg, step_fn)
+    assert rows == ref_rows  # exact float equality, row by row
+    assert out.tobytes() == ref_out.tobytes()
+
+
+def test_denoise_log_on_constant_image_uses_every_pixel():
+    u0 = np.full((8, 6), 0.25)
+    flat, edge = _measurement_masks(u0)
+    assert flat.all() and edge.all()
+    for cfg, step_fn in ((FD_CFG, pmd_step_fd), (DiffusionConfig(steps=2), pmd_step_dwt)):
+        out, rows = denoise_with_log(u0, cfg, step_fn)
+        assert rows == reference_log(u0, cfg, step_fn)[1]
+        assert out.tobytes() == u0.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (1, 9), (9, 1), (2, 4, 6)])
+def test_forward_neighbours_give_forward_diff_magnitude(shape):
+    u = np.random.default_rng(4).uniform(0.0, 1.0, shape)
+    v = u.reshape(-1)
+    idx = np.arange(u.size)
+    right, down = _forward_neighbours(idx, shape)
+    dx = v[right] - v[idx]
+    dy = v[down] - v[idx]
+    # bit for bit over every pixel, the zero last column and row included
+    assert np.sqrt(dx * dx + dy * dy).tobytes() == _forward_diff(u)[2].ravel().tobytes()
 
 
 # ---------------------------------------------------------------------------

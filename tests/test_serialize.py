@@ -141,3 +141,18 @@ def test_restore_rejects_entries_the_model_lacks(tmp_path):
     assert set(loaded) == {"w", "extra.w"}
     with pytest.raises(FormatError, match="extra.w"):
         restore_into(module, loaded)
+
+
+@pytest.mark.parametrize("loaded, match", [
+    ({"a": np.ones(2), "b": np.ones(4)}, "b: shape"),
+    ({"a": np.ones(2)}, "missing parameter b"),
+], ids=["wrong-shape", "missing"])
+def test_rejected_restore_leaves_the_module_unchanged(loaded, match):
+    module = Module()
+    module.a = Parameter(np.zeros(2))
+    module.b = Parameter(np.zeros(3))
+    assert [name for name, _ in module.named_parameters()] == ["a", "b"]
+    with pytest.raises(FormatError, match=match):
+        restore_into(module, loaded)
+    np.testing.assert_array_equal(module.a.data, np.zeros(2))
+    np.testing.assert_array_equal(module.b.data, np.zeros(3))
