@@ -207,10 +207,15 @@ class PMamba(T.Module):
         self.aux_pmd = FCNHead(rng, plan.widths[-1], k, stride, plan.head_width)
         self.aux_vim = FCNHead(rng, plan.widths[-1], k, stride, plan.head_width)
 
-    def __call__(self, x: T.Tensor) -> dict:
+    def encode(self, x: T.Tensor) -> tuple:
+        """Both encoders and their fusion: (feats_p, feats_v, fused), each a
+        four-scale feature list; the heads read from these."""
         feats_p = self.pmd_branch(x)
         feats_v = self.vim_branch(x)
-        fused = fuse(feats_p, feats_v)
+        return feats_p, feats_v, fuse(feats_p, feats_v)
+
+    def __call__(self, x: T.Tensor) -> dict:
+        feats_p, feats_v, fused = self.encode(x)
         return {
             "prim": self.seg_head(fused),
             "fcn": self.fcn_head(fused[-1]),
@@ -262,9 +267,14 @@ def mask_metrics(pred: np.ndarray, true: np.ndarray) -> tuple:
 
 
 def predict(model: PMamba, images: np.ndarray) -> np.ndarray:
-    """Argmax masks from the primary head; images [B,1,H,W] -> [B,H,W]."""
-    out = model(T.Tensor(images))
-    return np.argmax(out["prim"].data, axis=1)
+    """Argmax masks from the primary head; images [B,1,H,W] -> [B,H,W].
+
+    Runs only the encoders and the primary head (``seg_head``); the three
+    auxiliary heads feed the training loss alone, so they are skipped. The
+    masks equal the argmax of ``model(x)["prim"]`` bit for bit.
+    """
+    _, _, fused = model.encode(T.Tensor(images))
+    return np.argmax(model.seg_head(fused).data, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +484,11 @@ def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
 def model_profile(model: PMamba, reps: int = 3) -> dict:
     """Parameter count, forward milliseconds, peak allocation estimate.
 
-    ``forward_ms`` is the median of ``reps`` timed calls after one warm-up;
-    the median, because a single slow call on a busy host would dominate a mean.
+    ``forward_ms`` and ``peak_bytes`` measure ``predict`` on one image: the
+    encoders and the primary head, without the three auxiliary heads, so the
+    ``pmtk bench`` model CSV reports that inference path. ``forward_ms`` is
+    the median of ``reps`` timed calls after one warm-up; the median, because
+    a single slow call on a busy host would dominate a mean.
     """
     x = np.zeros((1, model.plan.in_channels, model.size, model.size))
     predict(model, x)  # warm up

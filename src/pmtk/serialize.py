@@ -105,7 +105,13 @@ def load_checkpoint(path) -> dict:
             offset = int(offset_s)
         except ValueError as exc:
             raise FormatError(f"{manifest}: malformed line {line!r}") from exc
+        if name in out:
+            raise FormatError(f"{manifest}: {name} is listed twice")
         count = int(np.prod(shape)) if shape else 1
+        # a negative offset would slice from the end of the container, into
+        # another entry's values
+        if offset < 0:
+            raise FormatError(f"{manifest}: {name} has negative offset {offset}")
         if offset + count > flat.size:
             raise FormatError(f"{manifest}: {name} overruns the container")
         out[name] = flat[offset:offset + count].reshape(shape)

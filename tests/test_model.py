@@ -142,6 +142,37 @@ def test_predict_returns_label_maps():
     assert set(np.unique(masks)) <= {0, 1}
 
 
+@pytest.mark.parametrize("plan, batch, size", [(MICRO_PLAN, 3, 32), (StagePlan(), 1, 64)],
+                         ids=["micro-b3-32", "default-b1-64"])
+def test_predict_is_argmax_of_full_forward_primary_head(plan, batch, size):
+    model = PMamba(np.random.default_rng(4), plan, size=size)
+    x = np.random.default_rng(5).standard_normal((batch, 1, size, size))
+    full = np.argmax(model(T.Tensor(x))["prim"].data, 1)
+    masks = predict(model, x)
+    assert masks.dtype == full.dtype
+    np.testing.assert_array_equal(masks, full)
+
+
+def test_predict_records_the_full_forward_without_the_auxiliary_heads():
+    model = micro_model(seed=6)
+    x = np.random.default_rng(7).standard_normal((2, 1, 32, 32))
+    with T.Tape() as full:
+        model(T.Tensor(x))
+    feats_p, feats_v, fused = model.encode(T.Tensor(x))
+    with T.Tape() as heads:
+        model.fcn_head(fused[-1])
+        model.aux_pmd(feats_p[-1])
+        model.aux_vim(feats_v[-1])
+    with T.Tape() as pred:
+        predict(model, x)
+    assert len(heads) > 0
+    assert len(pred) == len(full) - len(heads)
+    # the auxiliary heads run last in the full forward, so predict's records
+    # are its leading ones
+    names = [T.record_name(fn) for _, _, fn in full]
+    assert [T.record_name(fn) for _, _, fn in pred] == names[:len(pred)]
+
+
 # ---------------------------------------------------------------------------
 # Training loop on a micro task
 # ---------------------------------------------------------------------------

@@ -117,6 +117,29 @@ def test_checkpoint_overrun_entry_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def two_entry_checkpoint(tmp_path):
+    """a = 0..2 at offset 0, b = 3..6 at offset 3."""
+    p = tmp_path / "ck.pmtk"
+    save_checkpoint(p, [("a", Parameter(np.arange(3.0))),
+                        ("b", Parameter(np.arange(3.0, 7.0)))])
+    return p, tmp_path / "ck.pmtk.manifest"
+
+
+def test_checkpoint_negative_offset_rejected(tmp_path):
+    # offset -4 would slice a's three values out of b's
+    p, man = two_entry_checkpoint(tmp_path)
+    man.write_text("a 3 -4\nb 4 3\n")
+    with pytest.raises(FormatError, match="negative offset"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_repeated_name_rejected(tmp_path):
+    p, man = two_entry_checkpoint(tmp_path)
+    man.write_text("a 3 0\nb 4 3\nb 4 3\n")
+    with pytest.raises(FormatError, match="listed twice"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_malformed_manifest_line(tmp_path):
     p = tmp_path / "ck.pmtk"
     save_checkpoint(p, [("w", Parameter(np.zeros(2)))])

@@ -5,6 +5,8 @@ focus is bookkeeping: recording, accumulation, aliasing, precision modes
 and the couple of ops whose values are easy to verify by hand.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,51 @@ def test_conv2d_matches_per_pixel_reference(k, stride, pad):
                                rtol=0, atol=1e-12)
 
 
+def single_record(op, *args):
+    """Run ``op`` under a tape that must record it once; return the output and
+    the record's backward function."""
+    with T.Tape() as tape:
+        out = op(*args)
+    (_, _, backward_fn), = tape
+    return out, backward_fn
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_zero_border_equals_padded_input_bit_for_bit(stride, mode):
+    rng = np.random.default_rng(20 + stride)
+    with precision.use(mode):
+        x = T.Tensor(rng.standard_normal((2, 3, 6, 7)))
+        w = T.Tensor(rng.standard_normal((4, 3, 3, 3)))
+        xp = T.Tensor(np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1))))
+        out, bwd = single_record(T.conv2d, x, w, stride, 1)
+        ref, ref_bwd = single_record(T.conv2d, xp, w, stride, 0)
+    np.testing.assert_array_equal(out.data, ref.data)
+    g = rng.standard_normal(out.shape).astype(out.data.dtype)
+    (gx, gw), (gxp, gw_ref) = bwd(g), ref_bwd(g)
+    assert gx.dtype == x.data.dtype
+    np.testing.assert_array_equal(gx, gxp[:, :, 1:-1, 1:-1])
+    np.testing.assert_array_equal(gw, gw_ref)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_depthwise_conv1d_equals_three_taps_on_padded_input(mode):
+    rng = np.random.default_rng(23)
+    with precision.use(mode):
+        x = T.Tensor(rng.standard_normal((2, 5, 4)))
+        w = T.Tensor(rng.standard_normal((3, 4)))
+        b = T.Tensor(rng.standard_normal(4))
+        out, bwd = single_record(T.depthwise_conv1d, x, w, b)
+    L = x.shape[1]
+    xp = np.pad(x.data, ((0, 0), (1, 1), (0, 0)))
+    taps = [xp[:, i:i + L] for i in range(3)]
+    ref = w.data[0] * taps[0] + w.data[1] * taps[1] + w.data[2] * taps[2] + b.data
+    np.testing.assert_array_equal(out.data, ref)
+    g = rng.standard_normal(out.shape).astype(out.data.dtype)
+    _, gw, _ = bwd(g)
+    np.testing.assert_array_equal(gw, np.stack([(t * g).sum(axis=(0, 1)) for t in taps]))
+
+
 @pytest.mark.parametrize("mode, rtol", [("f32", 1e-6), ("f64", 1e-15)])
 def test_softplus_matches_logaddexp_without_overflow(mode, rtol):
     x = np.array([-1e4, -100.0, -30.0, 0.0, 30.0, 100.0, 1e4])
@@ -198,6 +245,51 @@ def test_norm_affine_constant_channel_maps_to_beta():
     x = T.Tensor(np.full((2, 1, 4, 4), 7.0))
     out = T.norm_affine(x, T.Tensor(np.ones(1)), T.Tensor(np.array([0.25])))
     np.testing.assert_allclose(out.data, 0.25, atol=1e-12)
+
+
+def standardize_reference(x, gamma, beta, axes, channel_axis, g):
+    """Output and adjoint of a norm through np.mean and np.var."""
+    shape = [1] * x.ndim
+    shape[channel_axis] = gamma.size
+    gd = gamma.reshape(shape)
+    param_axes = tuple(a for a in range(x.ndim) if a != channel_axis)
+    n = math.prod(x.shape[a] for a in axes)
+    xw = x.astype(np.float64)
+    mean = np.mean(xw, axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(np.var(xw, axis=axes, keepdims=True) + T._NORM_EPS)
+    xhat = (xw - mean) * inv
+    out = (xhat * gd + beta.reshape(shape)).astype(x.dtype)
+    dxhat = g * gd
+    dx = (inv / n) * (n * dxhat
+                      - dxhat.sum(axis=axes, keepdims=True)
+                      - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
+    return out, (dx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes))
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("op", ["norm_affine", "token_norm"])
+def test_norm_matches_mean_var_reference_bit_for_bit(op, mode):
+    rng = np.random.default_rng(30)
+    with precision.use(mode):
+        x = T.Tensor(rng.uniform(-2.0, 3.0, (3, 5, 6, 7)))
+        C = 5 if op == "norm_affine" else 7
+        gamma = T.Tensor(rng.standard_normal(C))
+        beta = T.Tensor(rng.standard_normal(C))
+    if op == "norm_affine":
+        x.data[:, 2] = 1.5          # a constant channel
+        axes, channel_axis = (0, 2, 3), 1
+    else:
+        x.data[1, 3, 4] = -0.75     # a constant token
+        axes, channel_axis = (3,), 3
+    with precision.use(mode):
+        out, bwd = single_record(getattr(T, op), x, gamma, beta)
+    g = rng.standard_normal(out.shape).astype(out.data.dtype)
+    ref, ref_grads = standardize_reference(x.data, gamma.data, beta.data,
+                                           axes, channel_axis, g)
+    assert out.data.dtype == x.data.dtype
+    np.testing.assert_array_equal(out.data, ref)
+    for got, want in zip(bwd(g), ref_grads):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_bilinear_upsample_constant_preserved():
