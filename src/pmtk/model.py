@@ -272,9 +272,20 @@ def predict(model: PMamba, images: np.ndarray) -> np.ndarray:
     Runs only the encoders and the primary head (``seg_head``); the three
     auxiliary heads feed the training loss alone, so they are skipped. The
     masks equal the argmax of ``model(x)["prim"]`` bit for bit.
+
+    Raises DivergenceError, naming the first op whose output went
+    non-finite, when any logit is non-finite: the argmax of NaN logits is
+    class 0 everywhere and would pass for a prediction.
     """
-    _, _, fused = model.encode(T.Tensor(images))
-    return np.argmax(model.seg_head(fused).data, axis=1)
+    def logits():
+        return model.seg_head(model.encode(T.Tensor(images))[2])
+
+    # overflow is reported below, by the op that caused it
+    with np.errstate(all="ignore"):
+        out = logits().data
+    if not np.isfinite(out).all():
+        raise DivergenceError(f"non-finite logits in predict: {_first_non_finite(logits)}")
+    return np.argmax(out, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +334,12 @@ def _grad_norm(params, grads: dict) -> float:
     return float(np.sqrt(sq))
 
 
-def _first_non_finite(model: PMamba, images, masks, weights: LossWeights) -> str:
-    """Replay a training forward under ``T.FiniteCheck`` with the current
-    weights; its DivergenceError message names the first non-finite op."""
+def _first_non_finite(forward) -> str:
+    """Replay ``forward()`` under ``T.FiniteCheck`` with the current weights;
+    its DivergenceError message names the first non-finite op."""
     try:
         with np.errstate(all="ignore"), T.FiniteCheck():
-            total_loss(model(T.Tensor(images)), masks, weights)
+            forward()
     except DivergenceError as err:
         return str(err)
     return "the checked replay stayed finite"
@@ -342,7 +353,8 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
     metric log incrementally when cfg.log_path is set (header LOG_HEADER).
     Raises DivergenceError, naming the epoch, the batch and the first op
     whose output went non-finite, as soon as a batch loss is non-finite,
-    before any update from it.
+    before any update from it. A validation forward that goes non-finite
+    raises it from ``predict``.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -372,7 +384,8 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                 # a step on a non-finite loss would turn the weights into
                 # NaN without any error
                 if not np.isfinite(loss.item()):
-                    cause = _first_non_finite(model, images[idx], masks[idx], cfg.loss_weights)
+                    cause = _first_non_finite(lambda: total_loss(
+                        model(T.Tensor(images[idx])), masks[idx], cfg.loss_weights))
                     raise DivergenceError(
                         f"non-finite loss {loss.item()} at epoch {epoch}, batch "
                         f"{batches}: {cause}; lower the learning rate (lr {cfg.lr})")

@@ -14,11 +14,20 @@ Two solvers share one diffusivity g(m) = 1 / (1 + (m/k)^2):
   mode adds the reconstruction of {0, g*lh, g*hl, 0} back onto the input,
   which sharpens rather than smooths and is kept for comparison.
 
-Both wavelet users, ``pmd_step_dwt`` and the tape op ``pmd_apply``, apply a
-gate through one map, ``_gated``. The fd solver and the denoising log's masks
-share one forward-difference helper, ``_forward_diff``; each logged step then
-takes its forward differences at the edge pixels only, through the neighbour
-indices of ``_forward_neighbours``.
+The wavelet step never forms the subbands. For a 2x2 block [[a, b], [c, d]]
+with diagonal differences p = a - d and q = b - c (``wavelet`` documents the
+bands), lh = (p - q)/2 and hl = (p + q)/2, so |(lh, hl)| = sqrt((p^2 + q^2)/2).
+Scaling lh and hl by the gate m and synthesizing changes only the diagonal
+pairs: a += f*p, d -= f*p, b += f*q, c -= f*q, with f = (m - 1)/2 in
+attenuate mode and f = m/2 in as-written mode; ll and hh pass through. Per
+block the map on (a, d) and on (b, c) is [[1+f, -f], [-f, 1+f]], which is
+symmetric: for a frozen gate the step is self-adjoint.
+
+Both wavelet users, ``pmd_step_dwt`` and the tape op ``pmd_apply`` (forward
+and backward), apply a gate through that one butterfly, ``_gated``. The fd
+solver and the denoising log's masks share one forward-difference helper,
+``_forward_diff``; each logged step then takes its forward differences at the
+edge pixels only, through the neighbour indices of ``_forward_neighbours``.
 
 ``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
 unit. The diffusion gate g is frozen during the backward pass (it is computed
@@ -34,7 +43,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, UsageError
-from .wavelet import SubbandSet, detail_magnitude, dwt2, idwt2
+from .wavelet import _check_even
 
 MODES = ("as-written", "attenuate")
 
@@ -112,22 +121,48 @@ def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     return u + cfg.dt * div
 
 
-def _gated(u: np.ndarray, s: SubbandSet, m: np.ndarray, mode: str) -> np.ndarray:
-    """Scale the detail bands ``s`` of ``u`` by the gate ``m`` and synthesize.
+def _diagonals(u: np.ndarray) -> tuple:
+    """(p, q) = (a - d, b - c) of each 2x2 block [[a, b], [c, d]] of ``u``.
 
-    Linear in (u, s) for a fixed gate, and self-adjoint when ``s = dwt2(u)``.
+    Both are [..., H/2, W/2]; odd or sub-2 trailing extents raise
+    DimensionError, as ``wavelet.dwt2`` does.
     """
-    if mode == "attenuate":
-        return idwt2(SubbandSet(s.ll, m * s.lh, m * s.hl, s.hh))
-    correction = idwt2(SubbandSet(np.zeros_like(s.ll), m * s.lh, m * s.hl,
-                                  np.zeros_like(s.hh)))
-    return u + correction
+    _check_even(u.shape)
+    return (u[..., 0::2, 0::2] - u[..., 1::2, 1::2],
+            u[..., 0::2, 1::2] - u[..., 1::2, 0::2])
+
+
+def _gate(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
+    """g of the Haar detail magnitude |(lh, hl)| = sqrt((p^2 + q^2)/2)."""
+    return diffusivity(np.sqrt((p * p + q * q) * 0.5), k)
+
+
+def _gated(u: np.ndarray, p: np.ndarray, q: np.ndarray, m: np.ndarray,
+           mode: str) -> np.ndarray:
+    """Scale the Haar detail bands of ``u`` by the gate ``m`` and synthesize.
+
+    ``(p, q)`` are the diagonal differences of ``u`` (``_diagonals``). The
+    result is u with a += f*p, d -= f*p, b += f*q, c -= f*q per block, where
+    f = (m - 1)/2 in attenuate mode and m/2 in as-written mode, which equals
+    idwt2 of {ll, m*lh, m*hl, hh}, or u plus idwt2 of {0, m*lh, m*hl, 0}.
+    For a fixed gate the map is symmetric, so it is its own adjoint.
+    """
+    f = (m - 1.0) * 0.5 if mode == "attenuate" else m * 0.5
+    fp = f * p
+    fq = f * q
+    out = u.copy()
+    out[..., 0::2, 0::2] += fp
+    out[..., 1::2, 1::2] -= fp
+    out[..., 0::2, 1::2] += fq
+    out[..., 1::2, 0::2] -= fq
+    return out
 
 
 def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     """One wavelet-domain diffusion step on the trailing two axes."""
-    s = dwt2(u)
-    return _gated(u, s, diffusivity(detail_magnitude(s), cfg.k), cfg.mode)
+    u = np.asarray(u)
+    p, q = _diagonals(u)
+    return _gated(u, p, q, _gate(p, q, cfg.k), cfg.mode)
 
 
 def pmd_run(u: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> np.ndarray:
@@ -359,22 +394,18 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
     """Tape-recorded wavelet diffusion step with the gate g held constant.
 
     The gate is computed once from the forward values, or taken from an
-    active replaying ``GateTrace``; what remains is a linear, self-adjoint map
-    (per 2x2 block: B diag(1,g,g,1) B with B the symmetric orthogonal Haar
-    butterfly), so the backward pass reapplies the identical map to the
-    incoming gradient.
+    active replaying ``GateTrace``. What remains is the butterfly of
+    ``_gated``: per 2x2 block the symmetric map [[1+f, -f], [-f, 1+f]] on
+    the diagonal pairs (a, d) and (b, c), so the backward pass applies the
+    same map, with the same frozen gate, to the incoming gradient.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    s = dwt2(x.data)
-
-    def compute_gate():
-        return diffusivity(detail_magnitude(s), k)
-
+    p, q = _diagonals(x.data)
     tape = T.active_tape()
-    m = tape.gate(compute_gate) if isinstance(tape, GateTrace) else compute_gate()
-    return T.record_op((x,), _gated(x.data, s, m, mode),
-                       lambda g: (_gated(g, dwt2(g), m, mode),))
+    m = tape.gate(lambda: _gate(p, q, k)) if isinstance(tape, GateTrace) else _gate(p, q, k)
+    return T.record_op((x,), _gated(x.data, p, q, m, mode),
+                       lambda g: (_gated(g, *_diagonals(g), m, mode),))
 
 
 PREPROCESS = ("dwt", "none", "sobel")

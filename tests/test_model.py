@@ -234,6 +234,18 @@ def test_train_toy_raises_on_divergence():
         train_toy(samples, [], cfg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_predict_raises_on_non_finite_logits():
+    # weights scaled by 1e4 overflow the forward; predict must name the op
+    # that first went non-finite instead of taking the argmax of NaN logits
+    model = micro_model()
+    for p in model.parameters():
+        p.data *= 1e4
+    x = np.random.default_rng(3).standard_normal((2, 1, 32, 32))
+    with pytest.raises(DivergenceError, match=r"predict: \w+\.\w+ \(tape record \d+\)"):
+        predict(model, x)
+
+
 def test_evaluate_reports_per_sample_rows():
     model = micro_model()
     samples = tiny_dataset(n=5)

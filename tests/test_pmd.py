@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pmtk import precision
 from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError, UsageError
 from pmtk.pmd import (
@@ -320,21 +321,69 @@ def test_pmd_apply_gradient_of_sum_is_ones():
     np.testing.assert_allclose(g, 1.0, atol=1e-12)
 
 
+def subband_step(u, m, mode):
+    """The gated step by its Haar definition: scale lh and hl by ``m``."""
+    s = dwt2(u)
+    if mode == "attenuate":
+        return idwt2(SubbandSet(s.ll, m * s.lh, m * s.hl, s.hh))
+    zero = np.zeros_like(s.ll)
+    return u + idwt2(SubbandSet(zero, m * s.lh, m * s.hl, zero))
+
+
 @pytest.mark.parametrize("mode", ["attenuate", "as-written"])
 def test_pmd_apply_backward_reapplies_frozen_gate(mode):
-    x = T.Tensor(noise_field(11, (6, 6)))
-    y = T.Tensor(noise_field(12, (6, 6)))
-    with T.Tape() as tape:
-        loss = T.tsum(T.mul(pmd_apply(x, k=0.7, mode=mode), y))
-    g = T.grad_of(T.backward(tape, loss), x)
+    # f64, so the 1e-12 tolerance compares the butterfly with the subband
+    # form and not one rounding with itself
+    with precision.use("f64"):
+        x = T.Tensor(noise_field(11, (6, 6)))
+        y = T.Tensor(noise_field(12, (6, 6)))
+        with T.Tape() as tape:
+            loss = T.tsum(T.mul(pmd_apply(x, k=0.7, mode=mode), y))
+        g = T.grad_of(T.backward(tape, loss), x)
     m = diffusivity(detail_magnitude(dwt2(x.data)), 0.7)
-    sy = dwt2(y.data)
-    if mode == "attenuate":
-        expect = idwt2(SubbandSet(sy.ll, m * sy.lh, m * sy.hl, sy.hh))
-    else:
-        zero = np.zeros_like(sy.ll)
-        expect = y.data + idwt2(SubbandSet(zero, m * sy.lh, m * sy.hl, zero))
+    expect = subband_step(y.data, m, mode)
     np.testing.assert_allclose(g, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["attenuate", "as-written"])
+@pytest.mark.parametrize("shape", [(6, 8), (2, 3, 8, 6), (1, 4, 2, 2)])
+def test_butterfly_equals_subband_form(mode, shape):
+    u = np.random.default_rng(14).standard_normal(shape)
+    m = diffusivity(detail_magnitude(dwt2(u)), 0.8)
+    expect = subband_step(u, m, mode)
+    # relative to the largest value: entries near 0 carry absolute rounding
+    tol = 1e-15 * np.abs(expect).max()
+    out = pmd_step_dwt(u, DiffusionConfig(k=0.8, mode=mode))
+    assert np.abs(out - expect).max() <= tol
+    with precision.use("f64"), GateTrace(replay=[m]):
+        tape_out = pmd_apply(T.Tensor(u), k=0.8, mode=mode)
+    assert np.abs(tape_out.data - expect).max() <= tol
+
+
+@pytest.mark.parametrize("mode", ["attenuate", "as-written"])
+def test_pmd_apply_frozen_gate_is_self_adjoint(mode):
+    # <A u, v> == <u, A v>, with A the step under one recorded gate
+    rng = np.random.default_rng(15)
+    with precision.use("f64"):
+        x = T.Tensor(rng.standard_normal((2, 3, 8, 6)))
+        with GateTrace() as trace:
+            pmd_apply(x, k=0.6, mode=mode)
+        u, v = (T.Tensor(rng.standard_normal(x.shape)) for _ in range(2))
+        with GateTrace(replay=trace.gates):
+            au = pmd_apply(u, k=0.6, mode=mode).data
+        with GateTrace(replay=trace.gates):
+            av = pmd_apply(v, k=0.6, mode=mode).data
+    lhs = float(np.sum(au * v.data))
+    rhs = float(np.sum(u.data * av))
+    assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def test_dwt_step_rejects_odd_extents():
+    u = np.zeros((5, 6))
+    with pytest.raises(DimensionError):
+        pmd_step_dwt(u, DiffusionConfig())
+    with pytest.raises(DimensionError):
+        pmd_apply(T.Tensor(u))
 
 
 def test_pmd_apply_rejects_unknown_mode():
@@ -343,23 +392,23 @@ def test_pmd_apply_rejects_unknown_mode():
 
 
 def test_gate_trace_replays_without_recompute():
-    x = T.Tensor(noise_field(13, (8, 8)))
-    with GateTrace() as trace:
-        pmd_apply(x, k=1.0)
-    assert len(trace.gates) == 1
-    # replaying against different data must reuse the recorded gate
-    x.data = x.data + 0.5
-    with GateTrace(replay=trace.gates):
-        second = pmd_apply(x, k=1.0)
-    sx = dwt2(x.data)
-    m = trace.gates[0]
-    expect = idwt2(SubbandSet(sx.ll, m * sx.lh, m * sx.hl, sx.hh))
-    np.testing.assert_array_equal(second.data, expect)
-    # a plain tape derives a fresh gate from the current data on every call
-    with T.Tape():
-        fresh = pmd_apply(x, k=1.0)
-    np.testing.assert_array_equal(fresh.data, pmd_step_dwt(x.data, DiffusionConfig()))
-    assert not np.array_equal(fresh.data, second.data)
+    with precision.use("f64"):
+        x = T.Tensor(noise_field(13, (8, 8)))
+        with GateTrace() as trace:
+            pmd_apply(x, k=1.0)
+        assert len(trace.gates) == 1
+        # replaying against different data must reuse the recorded gate; the
+        # gate is blind to a constant shift, so the data is also rescaled
+        x.data = 2.0 * x.data + 0.5
+        with GateTrace(replay=trace.gates):
+            second = pmd_apply(x, k=1.0)
+        expect = subband_step(x.data, trace.gates[0], "attenuate")
+        np.testing.assert_allclose(second.data, expect, rtol=0, atol=1e-12)
+        # a plain tape derives a fresh gate from the current data on every call
+        with T.Tape():
+            fresh = pmd_apply(x, k=1.0)
+        np.testing.assert_array_equal(fresh.data, pmd_step_dwt(x.data, DiffusionConfig()))
+        assert not np.array_equal(fresh.data, second.data)
 
 
 def test_gate_trace_overrun_raises():

@@ -337,6 +337,34 @@ def test_softmax_cross_entropy_uniform_logits():
     np.testing.assert_allclose(loss.item(), np.log(3.0), rtol=1e-12)
 
 
+def softmax_cross_entropy_reference(ld, t, g):
+    """Loss and logit gradient, gathering through a full index meshgrid."""
+    B, K, H, W = ld.shape
+    m = ld.max(axis=1, keepdims=True)
+    ex = np.exp(ld - m)
+    denom = ex.sum(axis=1, keepdims=True)
+    logp = ld - m - np.log(denom)
+    bi, hi, wi = np.meshgrid(np.arange(B), np.arange(H), np.arange(W), indexing="ij")
+    n = B * H * W
+    p = ex / denom
+    p[bi, t, hi, wi] -= 1.0
+    return -logp[bi, t, hi, wi].sum() / n, p * (g / n)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_softmax_cross_entropy_matches_meshgrid_gather_bit_for_bit(mode):
+    rng = np.random.default_rng(31)
+    with precision.use(mode):
+        logits = T.Tensor(3.0 * rng.standard_normal((3, 4, 5, 6)))
+        target = rng.integers(0, 4, (3, 5, 6))
+        loss, bwd = single_record(T.softmax_cross_entropy, logits, target)
+    ref_loss, ref_grad = softmax_cross_entropy_reference(logits.data, target, 0.5)
+    assert loss.data.tobytes() == np.asarray(ref_loss).tobytes()
+    (grad,) = bwd(np.asarray(0.5))
+    assert grad.dtype == logits.data.dtype
+    np.testing.assert_array_equal(grad, ref_grad)
+
+
 def test_softmax_cross_entropy_rejects_bad_labels():
     logits = T.Tensor(np.zeros((1, 2, 2, 2)))
     bad = np.full((1, 2, 2), 5, dtype=np.int64)
