@@ -25,7 +25,7 @@ from .gradcheck import (FAMILIES, FAST_FAMILIES, check_model_micro,
                         run_gradient_suite, tolerance)
 from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
                     model_profile, train_toy)
-from .pmd import DiffusionConfig, denoise_with_log, pmd_step_dwt, pmd_step_fd
+from .pmd import DiffusionConfig, denoise_with_log, pmd_step_fd
 from .ssm import loglog_slope, scan_complexity_probe
 from .wavelet import dwt2
 
@@ -69,12 +69,12 @@ def cmd_denoise(args) -> int:
         cfg = DiffusionConfig(k=args.k, steps=args.steps, dt=dt)
         step_fn = pmd_step_fd
     elif args.dt is not None:
-        # pmd_step_dwt applies its gate once per step and never reads cfg.dt
+        # the wavelet step applies its gate once per step and never reads cfg.dt
         raise ConfigError(f"--dt applies only to --mode fd, not {args.mode}")
     else:
         mode = "attenuate" if args.mode == "dwt-attenuate" else "as-written"
         cfg = DiffusionConfig(k=args.k, steps=args.steps, mode=mode)
-        step_fn = pmd_step_dwt
+        step_fn = None  # the wavelet step on Haar planes
     u = load_image(args.input)[0]
     out, rows = denoise_with_log(u, cfg, step_fn)
     save_image(args.output, np.clip(out, 0.0, 1.0))

@@ -23,11 +23,23 @@ attenuate mode and f = m/2 in as-written mode; ll and hh pass through. Per
 block the map on (a, d) and on (b, c) is [[1+f, -f], [-f, 1+f]], which is
 symmetric: for a frozen gate the step is self-adjoint.
 
-Both wavelet users, ``pmd_step_dwt`` and the tape op ``pmd_apply`` (forward
-and backward), apply a gate through that one butterfly, ``_gated``. The fd
-solver and the denoising log's masks share one forward-difference helper,
-``_forward_diff``; each logged step then takes its forward differences at the
-edge pixels only, through the neighbour indices of ``_forward_neighbours``.
+Every wavelet user applies a gate through that one in-place butterfly,
+``_gated``, on four same-shape arrays holding the a, b, c and d entries of the
+blocks. ``pmd_step_dwt`` and the tape op ``pmd_apply`` (forward and backward)
+pass it strided views of a copy of their input (``_blocks``). The denoising
+run, ``denoise_with_log`` without a ``step_fn`` (``pmtk denoise`` in both
+wavelet modes), copies the image once into four contiguous planes
+[4, ..., H/2, W/2] (``_to_planes``), steps the planes in place and writes the
+image back once at the end (``_from_planes``). At 512x512 a step on the
+planes takes about half the time of one on strided views, but the two
+conversions cost more than one step saves, so only a run of many steps
+converts.
+
+The fd solver and the denoising log's masks share one forward-difference
+helper, ``_forward_diff``; each logged step then takes its forward differences
+at the edge pixels only, through the neighbour indices of
+``_forward_neighbours``, mapped to plane positions (``_plane_positions``) when
+the run is on planes.
 
 ``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
 unit. The diffusion gate g is frozen during the backward pass (it is computed
@@ -121,15 +133,15 @@ def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     return u + cfg.dt * div
 
 
-def _diagonals(u: np.ndarray) -> tuple:
-    """(p, q) = (a - d, b - c) of each 2x2 block [[a, b], [c, d]] of ``u``.
+def _blocks(u: np.ndarray) -> tuple:
+    """Views (a, b, c, d) of the entries of each 2x2 block [[a, b], [c, d]].
 
-    Both are [..., H/2, W/2]; odd or sub-2 trailing extents raise
-    DimensionError, as ``wavelet.dwt2`` does.
+    Each is [..., H/2, W/2], strided by 2 on the trailing axes of ``u``; odd
+    or sub-2 trailing extents raise DimensionError, as ``wavelet.dwt2`` does.
     """
     _check_even(u.shape)
-    return (u[..., 0::2, 0::2] - u[..., 1::2, 1::2],
-            u[..., 0::2, 1::2] - u[..., 1::2, 0::2])
+    return (u[..., 0::2, 0::2], u[..., 0::2, 1::2],
+            u[..., 1::2, 0::2], u[..., 1::2, 1::2])
 
 
 def _gate(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
@@ -137,46 +149,76 @@ def _gate(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return diffusivity(np.sqrt((p * p + q * q) * 0.5), k)
 
 
-def _gated(u: np.ndarray, p: np.ndarray, q: np.ndarray, m: np.ndarray,
-           mode: str) -> np.ndarray:
-    """Scale the Haar detail bands of ``u`` by the gate ``m`` and synthesize.
+def _gated(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+           p: np.ndarray, q: np.ndarray, m: np.ndarray, mode: str) -> None:
+    """Scale the Haar detail bands of the blocks by the gate ``m``, in place.
 
-    ``(p, q)`` are the diagonal differences of ``u`` (``_diagonals``). The
-    result is u with a += f*p, d -= f*p, b += f*q, c -= f*q per block, where
-    f = (m - 1)/2 in attenuate mode and m/2 in as-written mode, which equals
+    (a, b, c, d) are the block entries (``_blocks`` or planes of them) and
+    ``(p, q) = (a - d, b - c)`` their diagonal differences, which are
+    overwritten. Applies a += f*p, d -= f*p, b += f*q, c -= f*q, where
+    f = (m - 1)/2 in attenuate mode and m/2 in as-written mode; that equals
     idwt2 of {ll, m*lh, m*hl, hh}, or u plus idwt2 of {0, m*lh, m*hl, 0}.
     For a fixed gate the map is symmetric, so it is its own adjoint.
     """
     f = (m - 1.0) * 0.5 if mode == "attenuate" else m * 0.5
-    fp = f * p
-    fq = f * q
-    out = u.copy()
-    out[..., 0::2, 0::2] += fp
-    out[..., 1::2, 1::2] -= fp
-    out[..., 0::2, 1::2] += fq
-    out[..., 1::2, 0::2] -= fq
-    return out
+    p *= f
+    a += p
+    d -= p
+    q *= f
+    b += q
+    c -= q
+
+
+def _step(blocks, k: float, mode: str) -> None:
+    """One wavelet-domain diffusion step, in place on the blocks (a, b, c, d)."""
+    a, b, c, d = blocks
+    p = a - d
+    q = b - c
+    _gated(a, b, c, d, p, q, _gate(p, q, k), mode)
 
 
 def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     """One wavelet-domain diffusion step on the trailing two axes."""
-    u = np.asarray(u)
-    p, q = _diagonals(u)
-    return _gated(u, p, q, _gate(p, q, cfg.k), cfg.mode)
-
-
-def pmd_run(u: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> np.ndarray:
-    """Apply cfg.steps diffusion iterations; step_fn defaults to the dwt form."""
-    fn = step_fn or pmd_step_dwt
     out = np.asarray(u).copy()
-    for _ in range(cfg.steps):
-        out = fn(out, cfg)
+    _step(_blocks(out), cfg.k, cfg.mode)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Denoising run with per-step measurements (CLI `denoise`)
 # ---------------------------------------------------------------------------
+
+def _to_planes(u: np.ndarray) -> np.ndarray:
+    """Copy the ``_blocks`` of ``u`` into contiguous planes [4, ..., H/2, W/2]."""
+    return np.stack(_blocks(u))
+
+
+def _from_planes(planes: np.ndarray) -> np.ndarray:
+    """The image whose ``_blocks`` are ``planes``; inverts ``_to_planes``."""
+    h, w = planes.shape[-2:]
+    u = np.empty(planes.shape[1:-2] + (2 * h, 2 * w), planes.dtype)
+    for view, plane in zip(_blocks(u), planes):
+        view[...] = plane
+    return u
+
+
+def _plane_positions(shape: tuple, *index_sets: np.ndarray) -> tuple:
+    """Map flat C-order pixel indices of an image of ``shape`` into ``_to_planes``.
+
+    Fold the leading axes into rows. As H is even, pixel (r, c) is entry
+    (r // 2, c // 2) of plane 2*(r % 2) + c % 2, and the planes fold their
+    leading axes the same way. The whole map is built once, read at each
+    index set and dropped on return.
+    """
+    w = shape[-1]
+    n = int(np.prod(shape))
+    quarter = n // 4
+    rows = np.arange(n // w)
+    cols = np.arange(w)
+    where = (((rows & 1) * (2 * quarter) + (rows >> 1) * (w // 2))[:, None]
+             + ((cols & 1) * quarter + (cols >> 1))).reshape(-1)
+    return tuple(where[i] for i in index_sets)
+
 
 def _measurement_masks(u0: np.ndarray) -> tuple:
     """Split pixels by the initial gradient magnitude: flat set vs edge set."""
@@ -200,10 +242,20 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
     pixels' right and down neighbours (``_forward_neighbours``). The values,
     their order and the reductions are those of masking the full
     ``_forward_diff`` magnitude, so the rows are the same bit for bit.
+
+    With ``step_fn`` None the wavelet step runs on Haar planes: ``u0`` is
+    copied once into ``_to_planes``'s layout, each step updates the planes in
+    place, and the image is written back once at the end. The four index
+    sets are mapped to their plane positions once (``_plane_positions``), so
+    the log gathers the same values in the same order as on the image, and
+    rows and output equal those of ``step_fn=pmd_step_dwt`` bit for bit.
     """
-    fn = step_fn or pmd_step_dwt
+    planar = step_fn is None
+    u = _to_planes(u0) if planar else u0.copy()
     flat, edge = (np.flatnonzero(m) for m in _measurement_masks(u0))
     right, down = _forward_neighbours(edge, u0.shape)
+    if planar:
+        flat, edge, right, down = _plane_positions(u0.shape, flat, edge, right, down)
 
     def measure(u, step):
         v = u.reshape(-1)
@@ -212,129 +264,14 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
         dy = v[down] - at
         return (step, float(v[flat].var()), float(np.sqrt(dx * dx + dy * dy).mean()))
 
-    u = u0.copy()
     rows = [measure(u, 0)]
     for step in range(1, cfg.steps + 1):
-        u = fn(u, cfg)
+        if planar:
+            _step(u, cfg.k, cfg.mode)
+        else:
+            u = step_fn(u, cfg)
         rows.append(measure(u, step))
-    return u, rows
-
-
-# ---------------------------------------------------------------------------
-# Two-region edge-preservation benchmark
-# ---------------------------------------------------------------------------
-
-# Geometry frozen after a sweep against the fd solver (see tests): a centered
-# disk deep enough that interior statistics are clean, with region means taken
-# over the full regions. Margin excludes a boundary collar from the std
-# measurement so noise suppression and edge blur are measured separately; it
-# is sized to 3x the widest control blur considered, so a smeared edge cannot
-# masquerade as interior noise.
-BENCH_SIZE = 64
-BENCH_RADIUS = 13.0
-BENCH_MARGIN = 8.0
-
-
-def two_region_image(size: int = BENCH_SIZE, radius: float = BENCH_RADIUS,
-                     noise_sigma: float = 0.15, seed: int = 0) -> tuple:
-    """Disk of level 1 on level 0 plus additive Gaussian noise.
-
-    Returns (noisy, clean, r) where r is each pixel's distance to the disk
-    center, used to carve interior/region masks.
-    """
-    yy, xx = np.mgrid[0:size, 0:size]
-    c = (size - 1) / 2.0
-    r = np.sqrt((yy - c) ** 2 + (xx - c) ** 2)
-    clean = (r <= radius).astype(np.float64)
-    rng = np.random.default_rng(seed)
-    noisy = clean + noise_sigma * rng.standard_normal(clean.shape)
-    return noisy, clean, r
-
-
-def region_measures(u: np.ndarray, r: np.ndarray,
-                    radius: float = BENCH_RADIUS,
-                    margin: float = BENCH_MARGIN) -> tuple:
-    """(mean interior std, inter-region mean gap) for a disk benchmark field."""
-    inside = r <= radius
-    outside = ~inside
-    in_core = r <= radius - margin
-    out_core = r >= radius + margin
-    std = 0.5 * (float(u[in_core].std()) + float(u[out_core].std()))
-    gap = abs(float(u[inside].mean()) - float(u[outside].mean()))
-    return std, gap
-
-
-def gaussian_blur(u: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with symmetric (reflective) boundary handling."""
-    if sigma <= 0:
-        return u.copy()
-    radius = max(1, int(np.ceil(3.0 * sigma)))
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (t / sigma) ** 2)
-    kernel /= kernel.sum()
-
-    def along(a, axis):
-        ap = np.moveaxis(a, axis, -1)
-        padded = np.pad(ap, [(0, 0)] * (ap.ndim - 1) + [(radius, radius)], mode="symmetric")
-        out = np.apply_along_axis(lambda v: np.convolve(v, kernel, mode="valid"), -1, padded)
-        return np.moveaxis(out, -1, axis)
-
-    return along(along(u, -1), -2)
-
-
-def matched_blur_sigma(noisy: np.ndarray, r: np.ndarray, target_std: float,
-                       radius: float = BENCH_RADIUS, margin: float = BENCH_MARGIN,
-                       lo: float = 0.05, hi: float = 8.0) -> float:
-    """Smallest blur width whose interior std reaches ``target_std``.
-
-    Interior std is not monotone in the width: past a few pixels the smeared
-    edge bleeds into the measurement cores and the std rises again, and near
-    its minimum a whole range of widths gives nearly the same std. Taking the
-    first crossing of the target on the descending branch is well posed and
-    picks the weakest sufficient blur, the choice most favorable to the
-    control. Falls back to the argmin width when no width reaches the target.
-    """
-    def std_at(sigma):
-        return region_measures(gaussian_blur(noisy, sigma), r, radius, margin)[0]
-
-    grid = np.geomspace(lo, hi, 200)
-    stds = np.array([std_at(s) for s in grid])
-    reached = np.nonzero(stds <= target_std)[0]
-    if reached.size:
-        return float(grid[reached[0]])
-    return float(grid[stds.argmin()])
-
-
-def edge_benchmark(noise_sigma: float = 0.15, k: float = 1.0, steps: int = 10,
-                   seed: int = 0, size: int = BENCH_SIZE,
-                   radius: float = BENCH_RADIUS) -> dict:
-    """Run fd, dwt-attenuate and a variance-matched Gaussian control.
-
-    Returns per-method (std_reduction, gap_retention) relative to the noisy
-    input, plus the raw baseline numbers.
-    """
-    noisy, _, r = two_region_image(size, radius, noise_sigma, seed)
-    std0, gap0 = region_measures(noisy, r, radius)
-
-    # dt strictly inside the stability region: at the 0.25 boundary the
-    # solver leaves its gradient-selective regime within a few steps (the
-    # edge flattens and the flow degenerates toward plain heat flow)
-    fd_cfg = DiffusionConfig(k=k, steps=steps, dt=0.20)
-    dwt_cfg = DiffusionConfig(k=k, steps=steps, dt=1.0, mode="attenuate")
-    u_fd = pmd_run(noisy, fd_cfg, step_fn=pmd_step_fd)
-    u_dwt = pmd_run(noisy, dwt_cfg, step_fn=pmd_step_dwt)
-
-    out = {"std0": std0, "gap0": gap0}
-    std_fd, gap_fd = region_measures(u_fd, r, radius)
-    out["fd"] = (1.0 - std_fd / std0, gap_fd / gap0)
-    std_dwt, gap_dwt = region_measures(u_dwt, r, radius)
-    out["dwt"] = (1.0 - std_dwt / std0, gap_dwt / gap0)
-
-    sigma_b = matched_blur_sigma(noisy, r, std_fd, radius)
-    std_g, gap_g = region_measures(gaussian_blur(noisy, sigma_b), r, radius)
-    out["gauss"] = (1.0 - std_g / std0, gap_g / gap0)
-    out["gauss_sigma"] = sigma_b
-    return out
+    return (_from_planes(u) if planar else u), rows
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +338,21 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    p, q = _diagonals(x.data)
+    out = x.data.copy()
+    a, b, c, d = _blocks(out)
+    p = a - d
+    q = b - c
     tape = T.active_tape()
     m = tape.gate(lambda: _gate(p, q, k)) if isinstance(tape, GateTrace) else _gate(p, q, k)
-    return T.record_op((x,), _gated(x.data, p, q, m, mode),
-                       lambda g: (_gated(g, *_diagonals(g), m, mode),))
+    _gated(a, b, c, d, p, q, m, mode)
+
+    def backward(g):
+        gx = g.copy()
+        a, b, c, d = _blocks(gx)
+        _gated(a, b, c, d, a - d, b - c, m, mode)
+        return (gx,)
+
+    return T.record_op((x,), out, backward)
 
 
 PREPROCESS = ("dwt", "none", "sobel")

@@ -13,9 +13,13 @@ maps to four half-resolution coefficients:
     hh = (a - b - c + d) / 2      diagonal detail
 
 The 4x4 butterfly behind this is symmetric and orthogonal, hence involutory:
-synthesis applies the very same arithmetic to (ll, lh, hl, hh). That also
-makes the transform self-adjoint, which the diffusion blocks exploit for
-their backward pass.
+synthesis applies the very same arithmetic to (ll, lh, hl, hh), and the
+transform is self-adjoint.
+
+The diffusion in ``pmd`` does not call these functions: it moves the block
+entries directly, and its backward pass relies on its own per-block map being
+symmetric. This module serves ``pmtk dwt`` and is the subband reference that
+the diffusion tests compare against.
 
 All functions act on the trailing two axes, so channel stacks [B, C, H, W]
 work unchanged. Trailing extents must be even.

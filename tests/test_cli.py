@@ -11,7 +11,8 @@ import pytest
 
 import pmtk
 from pmtk.cli import main
-from pmtk.data import load_dataset, load_image, save_image
+from pmtk.data import SynthConfig, load_dataset, load_image, save_image, synth_generate
+from pmtk.pmd import DiffusionConfig, denoise_with_log, pmd_step_dwt
 
 
 @pytest.fixture()
@@ -60,6 +61,38 @@ def test_denoise_fd_mode_takes_dt(tmp_path, image_file):
                "--mode", "fd", "--dt", "0.2", "--steps", "2"])
     assert rc == 0
     assert "--dt\n0.2" in (tmp_path / "fd.pgm.config").read_text()
+
+
+@pytest.mark.parametrize("mode", ["dwt-attenuate", "dwt-aswritten"])
+def test_denoise_wavelet_modes_reject_odd_extents(tmp_path, capsys, mode):
+    path = tmp_path / "odd.pgm"
+    save_image(path, np.full((5, 7), 0.5))
+    out = tmp_path / "o.pgm"
+    rc = main(["denoise", "--in", str(path), "--out", str(out), "--mode", mode])
+    assert rc == 1
+    assert "trailing extents must be even and >= 2, got 5x7" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "o.pgm.csv").exists()
+    # the fd solver has no block structure, so odd extents are fine there
+    assert main(["denoise", "--in", str(path), "--out", str(out), "--mode", "fd"]) == 0
+
+
+@pytest.mark.parametrize("mode, diffusion", [("dwt-attenuate", "attenuate"),
+                                             ("dwt-aswritten", "as-written")])
+def test_denoise_plane_run_writes_image_loop_files(tmp_path, mode, diffusion):
+    # `pmtk denoise` runs the wavelet step on Haar planes; its files must be
+    # the bytes the image-layout loop of pmd_step_dwt gives
+    path = tmp_path / "in.pgm"
+    save_image(path, synth_generate(SynthConfig(seed=3, count=1, size=64))[0].image)
+    out = tmp_path / "cli.pgm"
+    assert main(["denoise", "--in", str(path), "--out", str(out), "--mode", mode]) == 0
+    cfg = DiffusionConfig(k=1.0, steps=10, mode=diffusion)
+    ref, rows = denoise_with_log(load_image(path)[0], cfg, pmd_step_dwt)
+    save_image(tmp_path / "ref.pgm", np.clip(ref, 0.0, 1.0))
+    assert out.read_bytes() == (tmp_path / "ref.pgm").read_bytes()
+    csv = "step,flat_variance,edge_contrast\n" + "".join(
+        f"{s},{v:.8g},{c:.8g}\n" for s, v, c in rows)
+    assert (tmp_path / "cli.pgm.csv").read_text() == csv
 
 
 def test_python_dash_m_pmtk_denoise_matches_in_process(tmp_path, image_file):
