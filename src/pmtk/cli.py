@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime failure (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -187,7 +188,9 @@ def cmd_gradcheck(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was
     parser = argparse.ArgumentParser(prog="pmtk", fromfile_prefix_chars="@",
                                      description=__doc__.split("\n")[1])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -191,22 +191,6 @@ def load_mask(path) -> np.ndarray:
     return (load_image(path)[0] >= 128.0 / 255.0).astype(np.int64)
 
 
-def pad_to_multiple(x: np.ndarray, m: int = 32) -> tuple:
-    """Reflective bottom/right padding of the trailing axes to multiples of m.
-
-    Returns (padded, (H, W)); ``padded[..., :H, :W]`` restores the input.
-    """
-    if m < 1 or (m & (m - 1)):
-        raise ConfigError(f"m must be a power of two, got {m}")
-    H, W = x.shape[-2], x.shape[-1]
-    ph = (-H) % m
-    pw = (-W) % m
-    if ph == 0 and pw == 0:
-        return x.copy(), (H, W)
-    pad = [(0, 0)] * (x.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(x, pad, mode="symmetric"), (H, W)
-
-
 # ---------------------------------------------------------------------------
 # Dataset directories
 # ---------------------------------------------------------------------------

@@ -52,35 +52,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # Convenience arithmetic; routes through the recorded primitives below.
+    # `a + b` routes through the recorded `add` primitive below.
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return add(self, -float(other))
 
 
 class Parameter(Tensor):

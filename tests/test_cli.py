@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pmtk
-from pmtk.cli import main
+from pmtk.cli import build_parser, main
 from pmtk.data import SynthConfig, load_dataset, load_image, save_image, synth_generate
 from pmtk.pmd import DiffusionConfig, denoise_with_log, pmd_step_dwt
 
@@ -61,6 +61,20 @@ def test_denoise_fd_mode_takes_dt(tmp_path, image_file):
                "--mode", "fd", "--dt", "0.2", "--steps", "2"])
     assert rc == 0
     assert "--dt\n0.2" in (tmp_path / "fd.pgm.config").read_text()
+
+
+def test_main_reuses_one_parser_without_carrying_options(tmp_path, image_file):
+    assert build_parser() is build_parser()
+    csv = tmp_path / "c.csv"
+    rc = main(["denoise", "--in", str(image_file), "--out", str(tmp_path / "fd.pgm"),
+               "--mode", "fd", "--dt", "0.1", "--csv", str(csv)])
+    assert rc == 0 and csv.exists()
+    # a --dt carried over would be rejected in the default dwt-attenuate mode
+    rc = main(["denoise", "--in", str(image_file), "--out", str(tmp_path / "plain.pgm")])
+    assert rc == 0
+    assert (tmp_path / "plain.pgm.csv").exists()
+    config = (tmp_path / "plain.pgm.config").read_text()
+    assert "--dt" not in config and "--csv" not in config
 
 
 @pytest.mark.parametrize("mode", ["dwt-attenuate", "dwt-aswritten"])
@@ -161,7 +175,9 @@ def test_train_eval_chain(tmp_path):
     rc = main(["train", "--data", str(root), "--out", str(ckpt),
                "--epochs", "1", "--lr", "0.02"])
     assert rc == 0
-    assert ckpt.exists()
+    # one archive, no .manifest sidecar and no leftover .tmp
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "data", "model.ckpt", "model.ckpt.config", "model.ckpt.log.csv"]
     log = (tmp_path / "model.ckpt.log.csv").read_text().strip().split("\n")
     assert log[0].startswith("epoch,loss_prim")
     assert len(log) == 2
@@ -209,6 +225,23 @@ def test_eval_missing_checkpoint(tmp_path, capsys):
                str(tmp_path / "none.ckpt"), "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert "none.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"PMTK\x01\x01\x01\x03\x00\x00\x00" + bytes(24), "version-1 PMTK container"),
+    (b"", "not an .npz checkpoint"),
+    (b"PK\x03\x04\x14\x00\x00", "unreadable archive"),
+], ids=["version-1", "empty", "truncated"])
+def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys, raw, message):
+    root = tmp_path / "data"
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(raw)
+    rc = main(["eval", "--data", str(root), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_bench_writes_scaling_and_profile(tmp_path):

@@ -11,7 +11,6 @@ from pmtk.data import (
     load_dataset,
     load_image,
     load_mask,
-    pad_to_multiple,
     save_dataset,
     save_image,
     split,
@@ -186,38 +185,6 @@ def test_malformed_pgm_rejected(tmp_path, payload):
 def test_save_image_rejects_multichannel(tmp_path):
     with pytest.raises(FormatError):
         save_image(tmp_path / "x.pgm", np.zeros((3, 4, 4)))
-
-
-# ---------------------------------------------------------------------------
-# Padding
-# ---------------------------------------------------------------------------
-
-def test_pad_to_multiple_roundtrip():
-    x = np.random.default_rng(2).uniform(size=(2, 50, 70))
-    padded, (H, W) = pad_to_multiple(x, 32)
-    assert padded.shape == (2, 64, 96)
-    assert (H, W) == (50, 70)
-    np.testing.assert_array_equal(padded[..., :H, :W], x)
-
-
-def test_pad_to_multiple_noop_when_aligned():
-    x = np.zeros((32, 64))
-    padded, hw = pad_to_multiple(x, 32)
-    assert padded.shape == x.shape and hw == (32, 64)
-    assert padded is not x
-
-
-def test_pad_to_multiple_reflects():
-    x = np.arange(6.0).reshape(1, 2, 3)
-    padded, _ = pad_to_multiple(x, 4)
-    # symmetric padding mirrors the last rows/columns
-    np.testing.assert_array_equal(padded[0, 2], padded[0, 1])
-    np.testing.assert_array_equal(padded[0, :, 3], padded[0, :, 2])
-
-
-def test_pad_to_multiple_validates_m():
-    with pytest.raises(ConfigError):
-        pad_to_multiple(np.zeros((4, 4)), 12)
 
 
 # ---------------------------------------------------------------------------
