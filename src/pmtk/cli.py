@@ -22,8 +22,7 @@ from . import serialize
 from .data import (SynthConfig, load_dataset, load_image, save_dataset,
                    save_image, split, synth_generate)
 from .errors import ConfigError, DataError, PmtkError
-from .gradcheck import (FAMILIES, FAST_FAMILIES, check_model_micro,
-                        run_gradient_suite, tolerance)
+from .gradcheck import check_model_micro, run_gradient_suite, tolerance
 from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
                     model_profile, train_toy)
 from .pmd import DiffusionConfig, denoise_with_log, pmd_step_fd
@@ -66,7 +65,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 def cmd_denoise(args) -> int:
     if args.mode == "fd":
-        dt = 0.25 if args.dt is None else args.dt
+        dt = DiffusionConfig.dt if args.dt is None else args.dt
         cfg = DiffusionConfig(k=args.k, steps=args.steps, dt=dt)
         step_fn = pmd_step_fd
     elif args.dt is not None:
@@ -166,9 +165,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    families = FAST_FAMILIES if args.fast else list(FAMILIES)
     seeds = tuple(range(args.seed, args.seed + 5))
-    results = run_gradient_suite(families, seeds)
+    results = run_gradient_suite(seeds)
     tol = tolerance()
     failed = False
     for name, err in results:
@@ -202,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--dt", type=float, default=None,
-                   help="time step of --mode fd (default 0.25)")
+                   help=f"time step of --mode fd (default {DiffusionConfig.dt})")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_denoise)
 
@@ -247,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--fast", action="store_true",
-                   help="core op families only (smoke subset)")
     p.add_argument("--model", action="store_true",
                    help="also probe the assembled micro model (slower)")
     p.add_argument("--seed", type=int, default=0)

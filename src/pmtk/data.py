@@ -107,15 +107,13 @@ def synth_generate(cfg: SynthConfig) -> list:
     return [_one_sample(cfg, i) for i in range(cfg.count)]
 
 
-def split(samples, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> tuple:
-    """Deterministic (train, val, test) partition; remainder goes to train."""
+def split(samples, seed: int = 0) -> tuple:
+    """Deterministic (train, val, test) partition of a seeded permutation:
+    val and test each take int(0.1 * n) samples, train the remaining ~80%."""
     if not samples:
         raise DataError("cannot split an empty sample list")
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
-        raise ConfigError(f"ratios must be three values summing to 1, got {ratios}")
     n = len(samples)
-    n_val = int(ratios[1] * n)
-    n_test = int(ratios[2] * n)
+    n_val = n_test = int(0.1 * n)
     order = np.random.default_rng(seed).permutation(n)
     val = [samples[i] for i in order[:n_val]]
     test = [samples[i] for i in order[n_val:n_val + n_test]]

@@ -76,15 +76,16 @@ class LossWeights:
 # ---------------------------------------------------------------------------
 
 class _ConvNormRelu(T.Module):
-    def __init__(self, rng, c_in, c_out, ksize=3, stride=1, pad=1):
+    """3x3 convolution with padding 1, then norm and relu."""
+
+    def __init__(self, rng, c_in, c_out, stride=1):
         self.stride = stride
-        self.pad = pad
-        self.w = T.uniform_param(rng, (c_out, c_in, ksize, ksize), c_in * ksize * ksize)
+        self.w = T.uniform_param(rng, (c_out, c_in, 3, 3), c_in * 9)
         self.g = T.Parameter(np.ones(c_out))
         self.b = T.zeros_param((c_out,))
 
     def __call__(self, x):
-        return T.relu(T.norm_affine(T.conv2d(x, self.w, self.stride, self.pad),
+        return T.relu(T.norm_affine(T.conv2d(x, self.w, self.stride, 1),
                                     self.g, self.b))
 
 
@@ -376,16 +377,19 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
             grad_norm = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
+
+                def batch_loss():
+                    return total_loss(model(T.Tensor(images[idx])), masks[idx],
+                                      cfg.loss_weights)
+
                 # overflow is reported below, by the op that caused it,
                 # instead of as numpy warnings from wherever it surfaced
                 with np.errstate(all="ignore"), T.Tape() as tape:
-                    outputs = model(T.Tensor(images[idx]))
-                    loss, parts = total_loss(outputs, masks[idx], cfg.loss_weights)
+                    loss, parts = batch_loss()
                 # a step on a non-finite loss would turn the weights into
                 # NaN without any error
                 if not np.isfinite(loss.item()):
-                    cause = _first_non_finite(lambda: total_loss(
-                        model(T.Tensor(images[idx])), masks[idx], cfg.loss_weights))
+                    cause = _first_non_finite(batch_loss)
                     raise DivergenceError(
                         f"non-finite loss {loss.item()} at epoch {epoch}, batch "
                         f"{batches}: {cause}; lower the learning rate (lr {cfg.lr})")
@@ -494,19 +498,19 @@ def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
 # Profiling (CLI `bench` model table)
 # ---------------------------------------------------------------------------
 
-def model_profile(model: PMamba, reps: int = 3) -> dict:
+def model_profile(model: PMamba) -> dict:
     """Parameter count, forward milliseconds, peak allocation estimate.
 
     ``forward_ms`` and ``peak_bytes`` measure ``predict`` on one image: the
     encoders and the primary head, without the three auxiliary heads, so the
     ``pmtk bench`` model CSV reports that inference path. ``forward_ms`` is
-    the median of ``reps`` timed calls after one warm-up; the median, because
+    the median of three timed calls after one warm-up; the median, because
     a single slow call on a busy host would dominate a mean.
     """
     x = np.zeros((1, model.plan.in_channels, model.size, model.size))
     predict(model, x)  # warm up
     times = []
-    for _ in range(reps):
+    for _ in range(3):
         t0 = time.perf_counter()
         predict(model, x)
         times.append((time.perf_counter() - t0) * 1e3)

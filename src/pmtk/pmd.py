@@ -64,7 +64,8 @@ MODES = ("as-written", "attenuate")
 class DiffusionConfig:
     k: float = 1.0
     steps: int = 1
-    dt: float = 1.0
+    # the largest step pmd_step_fd accepts; the wavelet step never reads dt
+    dt: float = 0.25
     mode: str = "attenuate"
 
     def __post_init__(self):

@@ -4,7 +4,9 @@ One float32/float64 entry per dotted parameter name, in ``named_parameters``
 order; the archive records each entry's name, shape and dtype and CRC-checks
 its payload. It is written to ``<path>.tmp``, synced and renamed onto ``path``,
 so a crash mid-write leaves an earlier checkpoint whole. Version-1 files (a
-``PMTK`` container with a ``.manifest`` sidecar) raise ``FormatError``.
+``PMTK`` container with a ``.manifest`` sidecar) raise ``FormatError``, and so
+does an archive that yields fewer or more entries than its
+end-of-central-directory record counts.
 """
 
 from __future__ import annotations
@@ -45,10 +47,31 @@ def save_checkpoint(path, named_params) -> None:
         raise
 
 
+def _entry_total(fh) -> int | None:
+    """The entry total of the end-of-central-directory record that ends the
+    file (np.savez writes no archive comment), or None if none ends it.
+
+    A total of 0xFFFF defers to the zip64 record when a zip64 locator
+    precedes the end record.
+    """
+    fh.seek(max(fh.seek(0, os.SEEK_END) - 42, 0))
+    tail = fh.read(42)
+    locator, eocd = tail[:-22], tail[-22:]
+    if eocd[:4] != b"PK\x05\x06":
+        return None
+    total = int.from_bytes(eocd[10:12], "little")
+    if total == 0xFFFF and locator[:4] == b"PK\x06\x07":
+        fh.seek(int.from_bytes(locator[8:16], "little"))
+        record = fh.read(40)
+        total = int.from_bytes(record[32:40], "little") if record[:4] == b"PK\x06\x06" else None
+    return total
+
+
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into a name -> array map, in archive order."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
+        total = _entry_total(fh)
     if magic == b"PMTK":
         raise FormatError(f"{path}: a version-1 PMTK container; retrain to write .npz")
     if magic != b"PK\x03\x04":
@@ -59,6 +82,13 @@ def load_checkpoint(path) -> dict:
             out = {name: archive[name] for name in names}
     except _DAMAGE as exc:
         raise FormatError(f"{path}: unreadable archive: {exc!r}") from exc
+    if total is None:
+        raise FormatError(f"{path}: the archive does not end in its "
+                          "end-of-central-directory record")
+    # zipfile walks the central directory by its byte size and never checks
+    # the count, so a damaged comment length can hide the entries after it
+    if len(names) != total:
+        raise FormatError(f"{path}: {len(names)} entries read, the archive records {total}")
     if len(out) != len(names):
         repeated = sorted({name for name in names if names.count(name) > 1})
         raise FormatError(f"{path}: entries appear twice: {', '.join(repeated)}")

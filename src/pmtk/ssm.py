@@ -47,11 +47,11 @@ def _time_major(*arrays):
     return [np.ascontiguousarray(a.swapaxes(0, 1)) for a in arrays]
 
 
-def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
+def scan_forward_np(u, delta, A, B, C, Dskip):
     """Scan over batch-major [Bn, L, D] inputs; loops only over time.
 
-    Returns batch-major y [Bn, L, D]; with ``want_state`` also the
-    time-major states H and decays abar, both [L, Bn, S, D].
+    Returns (y, H, abar): batch-major y [Bn, L, D], and the time-major
+    states H and decays abar, both [L, Bn, S, D], which the backward reads.
     """
     ut, dt, Bt, Ct = _time_major(u, delta, B, C)
     # a unit-stride A.T, and exp in place: each fresh [L,Bn,S,D] buffer
@@ -65,9 +65,7 @@ def scan_forward_np(u, delta, A, B, C, Dskip, want_state: bool = False):
         np.multiply(decay[t], hs[t - 1], out=tmp)
         hs[t] += tmp
     y = (Ct[:, :, None, :] @ H)[:, :, 0].swapaxes(0, 1) + Dskip * u
-    if want_state:
-        return y, H, abar
-    return y
+    return y, H, abar
 
 
 def scan_backward_np(gy, u, delta, A, B, C, Dskip, H, abar):
@@ -125,8 +123,7 @@ def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
     """
     seq = slice(None, None, -1 if reverse else 1)
     y, H, abar = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
-                                 B.data[:, seq], C.data[:, seq], Dskip.data,
-                                 want_state=True)
+                                 B.data[:, seq], C.data[:, seq], Dskip.data)
 
     def bwd(gy):
         gu, gdelta, gA, gB, gC, gDskip = scan_backward_np(
@@ -146,7 +143,6 @@ class SsmParams(T.Module):
 
     def __init__(self, rng: np.random.Generator, d: int, s: int = 8):
         self.d = d
-        self.s = s
         # State decay rates spread over scales 1..s, shared across channels.
         self.A_log = T.Parameter(np.tile(np.log(np.arange(1, s + 1, dtype=np.float64)), (d, 1)))
         self.W_dt = T.uniform_param(rng, (d, d), d)
@@ -196,9 +192,6 @@ class PatchEmbed(T.Module):
 
     def __init__(self, rng: np.random.Generator, n: int, c_in: int, d: int, grid: tuple):
         self.n = n
-        self.c_in = c_in
-        self.d = d
-        self.grid = grid
         self.W_proj = T.uniform_param(rng, (n * n * c_in, d), n * n * c_in)
         self.E_pos = T.zeros_param((grid[0] * grid[1], d))
 
@@ -236,7 +229,6 @@ class VimBlockWeights(T.Module):
     def __init__(self, rng: np.random.Generator, d: int, s: int = 8, expand: int = 2):
         e = expand * d
         self.d = d
-        self.e = e
         self.norm_g = T.Parameter(np.ones(d))
         self.norm_b = T.zeros_param((d,))
         self.W_in = T.uniform_param(rng, (d, e), d)
@@ -285,11 +277,11 @@ def attention_mixer_np(x: np.ndarray, Wq, Wk, Wv) -> np.ndarray:
 
 
 def scan_complexity_probe(lengths, d: int = 64, s: int = 8, reps: int = 5,
-                          seed: int = 0, include_attention: bool = True) -> list:
-    """Time the scan (and optionally attention) at each L.
+                          seed: int = 0) -> list:
+    """Time the scan forward and the attention reference at each L.
 
-    Returns rows (L, mixer, mean_ms, std_ms), scan rows first, each mixer in
-    ascending L order.
+    Returns rows (L, mixer, mean_ms, std_ms): the scan rows, then the
+    attention rows, each mixer in ascending L order.
     """
     lengths = list(lengths)
     if len(lengths) < 4 or any(b <= a for a, b in zip(lengths, lengths[1:])):
@@ -316,14 +308,13 @@ def scan_complexity_probe(lengths, d: int = 64, s: int = 8, reps: int = 5,
         mean, std = timed(lambda: scan_forward_np(u, delta, A, B, C, Dsk))
         rows.append((L, "scan", mean, std))
 
-    if include_attention:
-        Wq = rng.standard_normal((d, d))
-        Wk = rng.standard_normal((d, d))
-        Wv = rng.standard_normal((d, d))
-        for L in lengths:
-            x = rng.standard_normal((L, d))
-            mean, std = timed(lambda: attention_mixer_np(x, Wq, Wk, Wv))
-            rows.append((L, "attention", mean, std))
+    Wq = rng.standard_normal((d, d))
+    Wk = rng.standard_normal((d, d))
+    Wv = rng.standard_normal((d, d))
+    for L in lengths:
+        x = rng.standard_normal((L, d))
+        mean, std = timed(lambda: attention_mixer_np(x, Wq, Wk, Wv))
+        rows.append((L, "attention", mean, std))
     return rows
 
 

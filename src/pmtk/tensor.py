@@ -175,17 +175,12 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # Elementwise suite
 # ---------------------------------------------------------------------------
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        c = float(b)
-        return record_op((a,), a.data + c, lambda g: (g,))
+def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
     return record_op((a, b), a.data + b.data, lambda g: (g, g))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        return scale(a, float(b))
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     return record_op((a, b), ad * bd, lambda g: (g * bd, g * ad))

@@ -256,8 +256,8 @@ def test_bench_writes_scaling_and_profile(tmp_path):
     assert model_lines[0] == "params,forward_ms,peak_bytes"
 
 
-def test_gradcheck_fast_passes(capsys):
-    rc = main(["gradcheck", "--fast"])
+def test_gradcheck_passes(capsys):
+    rc = main(["gradcheck"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out

@@ -127,8 +127,6 @@ def test_split_deterministic_by_seed():
 def test_split_validation():
     with pytest.raises(DataError):
         split([])
-    with pytest.raises(ConfigError):
-        split(fake_samples(4), ratios=(0.5, 0.4, 0.2))
 
 
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def test_checkpoint_roundtrip_preserves_forward(tmp_path):
 
 def test_model_profile_fields():
     model = micro_model()
-    prof = model_profile(model, reps=1)
+    prof = model_profile(model)
     assert prof["params"] == model.parameter_count()
     assert prof["forward_ms"] > 0
     assert prof["peak_bytes"] > 0

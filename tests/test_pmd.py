@@ -97,6 +97,13 @@ def test_fd_step_constant_is_fixed_point():
     np.testing.assert_array_equal(out, u)
 
 
+def test_fd_step_runs_at_the_default_dt():
+    # the default is the largest stable step, not a value the fd step rejects
+    u = noise_field(0)
+    np.testing.assert_array_equal(pmd_step_fd(u, DiffusionConfig()),
+                                  pmd_step_fd(u, DiffusionConfig(dt=0.25)))
+
+
 def test_fd_step_rejects_unstable_dt():
     with pytest.raises(ConfigError):
         pmd_step_fd(np.zeros((4, 4)), DiffusionConfig(dt=0.3))

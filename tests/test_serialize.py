@@ -183,9 +183,8 @@ def test_flipped_payload_byte_rejected(tmp_path):
 
 
 def test_every_flipped_byte_is_caught_or_harmless(tmp_path):
-    # zip fields nobody reads (timestamps, attributes) may change freely, and a
-    # damaged central-directory comment length can hide the entries after it,
-    # which restore_into then reports missing; nothing may load wrong values
+    # zip fields nobody reads (timestamps, attributes) may change freely;
+    # nothing may load wrong values or drop an entry
     p = two_entry_checkpoint(tmp_path)
     reference = load_checkpoint(p)
     raw = p.read_bytes()
@@ -197,11 +196,57 @@ def test_every_flipped_byte_is_caught_or_harmless(tmp_path):
         damaged[at] ^= 0xFF
         p.write_bytes(bytes(damaged))
         try:
-            restore_into(module, load_checkpoint(p))
+            loaded = load_checkpoint(p)
         except FormatError:
             continue
+        assert list(loaded) == ["a", "b"], f"byte {at}"
+        restore_into(module, loaded)
         np.testing.assert_array_equal(module.a.data, reference["a"])
         np.testing.assert_array_equal(module.b.data, reference["b"])
+
+
+def test_hidden_entries_rejected(tmp_path):
+    # a comment length in the first central-directory record that runs over
+    # the second record hides it from zipfile; the end record still counts 2
+    p = two_entry_checkpoint(tmp_path)
+    damaged = bytearray(p.read_bytes())
+    damaged[damaged.index(b"PK\x01\x02") + 32] = 0xFF
+    p.write_bytes(bytes(damaged))
+    with pytest.raises(FormatError, match="1 entries read, the archive records 2"):
+        load_checkpoint(p)
+
+
+def test_archive_comment_rejected(tmp_path):
+    # np.savez writes none, so the end record must be the last 22 bytes
+    p = tmp_path / "ck.npz"
+    with zipfile.ZipFile(p, "w") as zf:
+        zf.writestr("a.npy", npy_member((3,), np.arange(3.0).tobytes()))
+        zf.comment = b"note"
+    with pytest.raises(FormatError, match="does not end in its end-of-central-directory"):
+        load_checkpoint(p)
+
+
+def as_zip64(raw: bytes, total: int) -> bytes:
+    """``raw`` ended by a zip64 end record counting ``total`` entries, its
+    locator, and an end record whose counts (0xFFFF) defer to it."""
+    size_cd, offset_cd = struct.unpack("<II", raw[-10:-2])
+    body = raw[:-22]
+    record = struct.pack("<4sQHHIIQQQQ", b"PK\x06\x06", 44, 45, 45, 0, 0,
+                         total, total, size_cd, offset_cd)
+    locator = struct.pack("<4sIQI", b"PK\x06\x07", 0, len(body), 1)
+    end = struct.pack("<4sHHHHIIH", b"PK\x05\x06", 0, 0, 0xFFFF, 0xFFFF,
+                      size_cd, offset_cd, 0)
+    return body + record + locator + end
+
+
+def test_zip64_entry_total_is_read(tmp_path):
+    p = two_entry_checkpoint(tmp_path)
+    raw = p.read_bytes()
+    p.write_bytes(as_zip64(raw, 2))
+    assert list(load_checkpoint(p)) == ["a", "b"]
+    p.write_bytes(as_zip64(raw, 3))
+    with pytest.raises(FormatError, match="2 entries read, the archive records 3"):
+        load_checkpoint(p)
 
 
 def test_damaged_zip_fields_rejected(tmp_path):

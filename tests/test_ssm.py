@@ -42,7 +42,7 @@ def random_scan_inputs(rng, Bn, L, D, S):
 def test_vectorized_matches_sequential(dims):
     rng = np.random.default_rng(sum(dims))
     args = random_scan_inputs(rng, *dims)
-    np.testing.assert_allclose(scan_forward_np(*args), scan_sequential(*args),
+    np.testing.assert_allclose(scan_forward_np(*args)[0], scan_sequential(*args),
                                rtol=0, atol=1e-12)
 
 
@@ -50,7 +50,7 @@ def test_single_step_closed_form():
     # with one token the state is delta*B*u, so y = delta*u*<C,B> + Dskip*u
     rng = np.random.default_rng(0)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 2, 1, 3, 4)
-    y = scan_forward_np(u, delta, A, B, C, Dskip)
+    y = scan_forward_np(u, delta, A, B, C, Dskip)[0]
     expect = delta * u * np.einsum("bls,bls->bl", C, B)[..., None] + Dskip * u
     np.testing.assert_allclose(y, expect, atol=1e-14)
 
@@ -63,7 +63,7 @@ def test_constant_input_geometric_series():
     u = np.ones((1, L, 1))
     Bm = np.full((1, L, 1), b)
     Cm = np.full((1, L, 1), c)
-    y = scan_forward_np(u, delta, A, Bm, Cm, np.array([dsk]))
+    y = scan_forward_np(u, delta, A, Bm, Cm, np.array([dsk]))[0]
     t = np.arange(1, L + 1)
     expect = c * b * (1 - a ** t) / (1 - a) + dsk
     np.testing.assert_allclose(y[0, :, 0], expect, atol=1e-12)
@@ -72,17 +72,17 @@ def test_constant_input_geometric_series():
 def test_zero_input_zero_output():
     rng = np.random.default_rng(1)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 1, 5, 2, 3)
-    y = scan_forward_np(np.zeros_like(u), delta, A, B, C, Dskip)
+    y = scan_forward_np(np.zeros_like(u), delta, A, B, C, Dskip)[0]
     np.testing.assert_array_equal(y, 0.0)
 
 
 def test_causality():
     rng = np.random.default_rng(2)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 2, 12, 3, 4)
-    y0 = scan_forward_np(u, delta, A, B, C, Dskip)
+    y0 = scan_forward_np(u, delta, A, B, C, Dskip)[0]
     u2 = u.copy()
     u2[:, 7] += 1.0
-    y1 = scan_forward_np(u2, delta, A, B, C, Dskip)
+    y1 = scan_forward_np(u2, delta, A, B, C, Dskip)[0]
     np.testing.assert_array_equal(y0[:, :7], y1[:, :7])
     assert np.abs(y0[:, 7:] - y1[:, 7:]).max() > 1e-6
 
@@ -308,11 +308,11 @@ def test_probe_validates_lengths():
 
 
 def test_probe_row_structure():
-    rows = scan_complexity_probe([8, 16, 32, 64], d=4, s=2, reps=1,
-                                 include_attention=False)
-    assert [r[0] for r in rows] == [8, 16, 32, 64]
-    assert all(r[1] == "scan" for r in rows)
-    assert all(r[2] > 0 for r in rows)
+    lengths = [8, 16, 32, 64]
+    rows = scan_complexity_probe(lengths, d=4, s=2, reps=1)
+    assert [r[:2] for r in rows] == ([(L, "scan") for L in lengths]
+                                     + [(L, "attention") for L in lengths])
+    assert all(r[2] > 0 and r[3] >= 0 for r in rows)
 
 
 def test_loglog_slope_recovers_power_law():
