@@ -148,8 +148,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    lengths = [int(v) for v in args.lengths.split(",")]
-    rows = scan_complexity_probe(lengths, d=args.d, s=args.s, reps=args.reps,
+    rows = scan_complexity_probe(args.lengths, d=args.d, s=args.s, reps=args.reps,
                                  seed=args.seed)
     _write_csv(args.output, "L,mixer,mean_ms,std_ms",
                ((L, m, f"{a:.6f}", f"{b:.6f}") for L, m, a, b in rows))
@@ -185,6 +184,15 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def _int_list(text: str) -> list:
+    """Comma-separated integers, as ``--lengths`` takes them."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="scan scaling CSV and model profile")
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--lengths", default="256,512,1024,2048")
+    p.add_argument("--lengths", type=_int_list, default="256,512,1024,2048")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--s", type=int, default=8)
     p.add_argument("--reps", type=int, default=5)

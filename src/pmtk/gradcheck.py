@@ -34,7 +34,7 @@ import numpy as np
 
 from . import precision
 from . import tensor as T
-from .model import MICRO_PLAN, LossWeights, PMamba, total_loss
+from .model import MICRO_PLAN, PMamba, total_loss
 from .pmd import GateTrace, PmdBlock, pmd_apply
 from .ssm import VimBlockWeights, scan_core, vim_block
 from .tensor import Tape, Tensor, backward, grad_of, record_name
@@ -328,7 +328,6 @@ def check_model_micro(seed: int) -> float:
     rng = np.random.default_rng(seed)
     model = PMamba(np.random.default_rng(int(rng.integers(1 << 31))),
                    MICRO_PLAN, size=32)
-    lw = LossWeights()
 
     # The maps at 1/32 scale are 1x1, so batch entries are all the
     # normalization statistics have: a batch of eight keeps their variance
@@ -355,7 +354,7 @@ def check_model_micro(seed: int) -> float:
         variances: list[float] = []
         margins: list[float] = []
         with Tape() as tape:
-            total_loss(model(Tensor(xc)), target, lw)
+            total_loss(model(Tensor(xc)), target)
         for inputs, _, backward_fn in tape:
             op = record_name(backward_fn)
             a = inputs[0].data
@@ -378,13 +377,13 @@ def check_model_micro(seed: int) -> float:
 
     xt = Tensor(x)
     with GateTrace() as trace:
-        loss, _ = total_loss(model(xt), target, lw)
+        loss, _ = total_loss(model(xt), target)
     grads = backward(trace, loss)
     floor = 100.0 * noise_floor_coeff() * max(1.0, abs(float(loss.item())))
 
     def objective() -> float:
         with GateTrace(replay=trace.gates):
-            val, _ = total_loss(model(xt), target, lw)
+            val, _ = total_loss(model(xt), target)
         return float(val.item())
 
     params = model.parameters()

@@ -14,9 +14,11 @@ configuration uses 64x64 images.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,49 +28,33 @@ from .pmd import PmdBlock
 from .ssm import PatchEmbed, VimBlockWeights, tokens_to_map, vim_block
 
 
+# The architecture of every model built here. Only the stage widths and the
+# PMD branch's preprocessing vary, through StagePlan.
+IN_CHANNELS = 1
+NUM_CLASSES = 2
+PMD_BLOCKS = (3, 4, 6, 3)
+VIM_BLOCKS = (2, 2, 2, 2)
+PATCH_SIZES = (4, 2, 2, 2)
+TOTAL_STRIDE = math.prod(PATCH_SIZES)
+STATE_DIM = 8
+HEAD_WIDTH = 32
+# cross-entropy weight of each head's output in total_loss, in tape order
+LOSS_WEIGHTS = {"prim": 1.0, "fcn": 0.4, "pmd": 0.4, "vim": 0.4}
+
+
 @dataclass(frozen=True)
 class StagePlan:
     widths: tuple = (16, 32, 64, 128)
-    pmd_blocks: tuple = (3, 4, 6, 3)
-    vim_blocks: tuple = (2, 2, 2, 2)
-    patch_sizes: tuple = (4, 2, 2, 2)
-    in_channels: int = 1
-    num_classes: int = 2
-    state_dim: int = 8
-    expand: int = 2
-    k_diff: float = 1.0
-    head_width: int = 32
     preprocess: str = "dwt"
 
     def __post_init__(self):
-        if not (len(self.widths) == len(self.pmd_blocks) == len(self.vim_blocks)
-                == len(self.patch_sizes) == 4):
+        if len(self.widths) != 4:
             raise ConfigError("StagePlan requires exactly four stages")
         if any(b >= a for a, b in zip(self.widths[1:], self.widths)):
             raise ConfigError(f"widths must be strictly increasing, got {self.widths}")
-        if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-
-    @property
-    def total_stride(self) -> int:
-        return int(np.prod(self.patch_sizes))
 
 
 MICRO_PLAN = StagePlan(widths=(4, 8, 16, 32))
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    w_prim: float = 1.0
-    w_fcn: float = 0.4
-    w_pmd: float = 0.4
-    w_vim: float = 0.4
-
-    def __post_init__(self):
-        if self.w_prim <= 0:
-            raise ConfigError("w_prim must be positive")
-        if min(self.w_fcn, self.w_pmd, self.w_vim) < 0:
-            raise ConfigError("loss weights must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +80,16 @@ class PmdBranch(T.Module):
 
     def __init__(self, rng: np.random.Generator, plan: StagePlan):
         c1 = plan.widths[0]
-        self.stem1 = _ConvNormRelu(rng, plan.in_channels, c1, stride=2)
+        self.stem1 = _ConvNormRelu(rng, IN_CHANNELS, c1, stride=2)
         self.stem2 = _ConvNormRelu(rng, c1, c1, stride=2)
         self.stages = []
         c_prev = c1
-        for i, (c, depth) in enumerate(zip(plan.widths, plan.pmd_blocks)):
+        for i, (c, depth) in enumerate(zip(plan.widths, PMD_BLOCKS)):
             blocks = []
             for j in range(depth):
                 stride = 2 if (i > 0 and j == 0) else 1
                 blocks.append(PmdBlock(rng, c_prev if j == 0 else c, c,
-                                       stride=stride, k=plan.k_diff,
-                                       preprocess=plan.preprocess))
+                                       stride=stride, preprocess=plan.preprocess))
             self.stages.append(blocks)
             c_prev = c
 
@@ -122,18 +107,18 @@ class VimBranch(T.Module):
     """Per stage: patch embedding, two residual Vim blocks, back to a map."""
 
     def __init__(self, rng: np.random.Generator, plan: StagePlan, size: int):
-        if size % plan.total_stride:
-            raise DimensionError(f"input extent {size} not divisible by {plan.total_stride}")
+        if size % TOTAL_STRIDE:
+            raise DimensionError(f"input extent {size} not divisible by {TOTAL_STRIDE}")
         self.embeds = []
         self.blocks = []
         self.grids = []
-        c_prev = plan.in_channels
+        c_prev = IN_CHANNELS
         extent = size
-        for c, n, depth in zip(plan.widths, plan.patch_sizes, plan.vim_blocks):
+        for c, n, depth in zip(plan.widths, PATCH_SIZES, VIM_BLOCKS):
             extent //= n
             grid = (extent, extent)
             self.embeds.append(PatchEmbed(rng, n, c_prev, c, grid))
-            self.blocks.append([VimBlockWeights(rng, c, plan.state_dim, plan.expand)
+            self.blocks.append([VimBlockWeights(rng, c, STATE_DIM)
                                 for _ in range(depth)])
             self.grids.append(grid)
             c_prev = c
@@ -164,10 +149,11 @@ def fuse(a: list, b: list) -> list:
 class SegHead(T.Module):
     """Top-down multi-scale decoder to full-resolution class logits."""
 
-    def __init__(self, rng: np.random.Generator, widths, k: int, mid: int = 32):
+    def __init__(self, rng: np.random.Generator, widths):
+        mid = HEAD_WIDTH
         self.laterals = [T.uniform_param(rng, (mid, c, 1, 1), c) for c in widths]
         self.smooth = T.uniform_param(rng, (mid, mid, 3, 3), mid * 9)
-        self.classify = T.uniform_param(rng, (k, mid, 1, 1), mid)
+        self.classify = T.uniform_param(rng, (NUM_CLASSES, mid, 1, 1), mid)
 
     def __call__(self, feats: list) -> T.Tensor:
         t = T.conv2d(feats[-1], self.laterals[-1], 1, 0)
@@ -179,17 +165,15 @@ class SegHead(T.Module):
 
 
 class FCNHead(T.Module):
-    """Single-scale decoder: conv-norm-relu, classifier, upsample to input."""
+    """Decoder of the 1/32 map: conv-norm-relu, classifier, upsample to input."""
 
-    def __init__(self, rng: np.random.Generator, c_in: int, k: int,
-                 factor: int, mid: int = 32):
-        self.factor = factor
-        self.body = _ConvNormRelu(rng, c_in, mid)
-        self.classify = T.uniform_param(rng, (k, mid, 1, 1), mid)
+    def __init__(self, rng: np.random.Generator, c_in: int):
+        self.body = _ConvNormRelu(rng, c_in, HEAD_WIDTH)
+        self.classify = T.uniform_param(rng, (NUM_CLASSES, HEAD_WIDTH, 1, 1), HEAD_WIDTH)
 
     def __call__(self, f: T.Tensor) -> T.Tensor:
         return T.bilinear_upsample(T.conv2d(self.body(f), self.classify, 1, 0),
-                                   self.factor)
+                                   TOTAL_STRIDE)
 
 
 class PMamba(T.Module):
@@ -199,14 +183,12 @@ class PMamba(T.Module):
                  size: int = 64):
         self.plan = plan
         self.size = size
-        k = plan.num_classes
-        stride = plan.total_stride
         self.pmd_branch = PmdBranch(rng, plan)
         self.vim_branch = VimBranch(rng, plan, size)
-        self.seg_head = SegHead(rng, plan.widths, k, plan.head_width)
-        self.fcn_head = FCNHead(rng, plan.widths[-1], k, stride, plan.head_width)
-        self.aux_pmd = FCNHead(rng, plan.widths[-1], k, stride, plan.head_width)
-        self.aux_vim = FCNHead(rng, plan.widths[-1], k, stride, plan.head_width)
+        self.seg_head = SegHead(rng, plan.widths)
+        self.fcn_head = FCNHead(rng, plan.widths[-1])
+        self.aux_pmd = FCNHead(rng, plan.widths[-1])
+        self.aux_vim = FCNHead(rng, plan.widths[-1])
 
     def encode(self, x: T.Tensor) -> tuple:
         """Both encoders and their fusion: (feats_p, feats_v, fused), each a
@@ -229,21 +211,16 @@ class PMamba(T.Module):
 # Loss and metrics
 # ---------------------------------------------------------------------------
 
-def total_loss(outputs: dict, target: np.ndarray,
-               lw: LossWeights = LossWeights()) -> tuple:
-    """Weighted four-term cross-entropy; returns (total, per-term floats)."""
+def total_loss(outputs: dict, target: np.ndarray) -> tuple:
+    """Four-term cross-entropy weighted by LOSS_WEIGHTS; returns (total,
+    per-term floats)."""
     terms = {}
     weighted = []
-    for name, w in (("prim", lw.w_prim), ("fcn", lw.w_fcn),
-                    ("pmd", lw.w_pmd), ("vim", lw.w_vim)):
+    for name, w in LOSS_WEIGHTS.items():
         ce = T.softmax_cross_entropy(outputs[name], target)
         terms[name] = ce.item()
-        if w:
-            weighted.append(T.scale(ce, w))
-    total = weighted[0]
-    for term in weighted[1:]:
-        total = T.add(total, term)
-    return total, terms
+        weighted.append(T.scale(ce, w))
+    return functools.reduce(T.add, weighted), terms
 
 
 def mask_metrics(pred: np.ndarray, true: np.ndarray) -> tuple:
@@ -314,8 +291,13 @@ class TrainConfig:
     seed: int = 0
     size: int = 64
     plan: StagePlan = field(default_factory=StagePlan)
-    loss_weights: LossWeights = field(default_factory=LossWeights)
     log_path: str | None = None
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
 
 
 def _stack(samples) -> tuple:
@@ -372,15 +354,14 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
         for epoch in range(cfg.epochs):
             start_s = time.perf_counter()
             order = rng.permutation(n)
-            sums = dict.fromkeys(("prim", "fcn", "pmd", "vim"), 0.0)
+            sums = dict.fromkeys(LOSS_WEIGHTS, 0.0)
             batches = 0
             grad_norm = 0.0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
 
                 def batch_loss():
-                    return total_loss(model(T.Tensor(images[idx])), masks[idx],
-                                      cfg.loss_weights)
+                    return total_loss(model(T.Tensor(images[idx])), masks[idx])
 
                 # overflow is reported below, by the op that caused it,
                 # instead of as numpy warnings from wherever it surfaced
@@ -477,7 +458,7 @@ def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
                                noise_sigma=cfg.noise_sigma)
         train_set, val_set, _ = split(synth_generate(data_cfg), seed=seed)
         for variant in cfg.variants:
-            plan = replace(StagePlan(), preprocess=VARIANTS[variant])
+            plan = StagePlan(preprocess=VARIANTS[variant])
             tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                lr=cfg.lr, seed=seed, size=cfg.size, plan=plan)
             model, _ = train_toy(train_set, val_set, tcfg)
@@ -507,7 +488,7 @@ def model_profile(model: PMamba) -> dict:
     the median of three timed calls after one warm-up; the median, because
     a single slow call on a busy host would dominate a mean.
     """
-    x = np.zeros((1, model.plan.in_channels, model.size, model.size))
+    x = np.zeros((1, IN_CHANNELS, model.size, model.size))
     predict(model, x)  # warm up
     times = []
     for _ in range(3):

@@ -357,6 +357,8 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
 
 
 PREPROCESS = ("dwt", "none", "sobel")
+# contrast constant of the diffusion step inside every PmdBlock
+BLOCK_K = 1.0
 
 
 class PmdBlock(T.Module):
@@ -370,10 +372,9 @@ class PmdBlock(T.Module):
     """
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
-                 stride: int = 1, k: float = 1.0, preprocess: str = "dwt"):
+                 stride: int = 1, preprocess: str = "dwt"):
         if preprocess not in PREPROCESS:
             raise ConfigError(f"preprocess must be one of {PREPROCESS}, got {preprocess!r}")
-        self.k = k
         self.stride = stride
         self.preprocess = preprocess
         c_eff = c_in * (2 if preprocess == "sobel" else 1)
@@ -397,7 +398,7 @@ class PmdBlock(T.Module):
             if x.shape[-1] < 2 or x.shape[-2] < 2:
                 h = x
             else:
-                h = pmd_apply(x, self.k, "attenuate")
+                h = pmd_apply(x, BLOCK_K, "attenuate")
         elif self.preprocess == "sobel":
             # The gradient feature is a fresh constant tensor: gradients reach
             # x only through the identity slice of the concat.

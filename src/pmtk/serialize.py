@@ -69,19 +69,22 @@ def _entry_total(fh) -> int | None:
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back into a name -> array map, in archive order."""
+    # np.load reads through this handle: given the path, it opens its own,
+    # which leaks when a damaged archive raises before the zip reader owns it
     with open(path, "rb") as fh:
         magic = fh.read(4)
+        if magic == b"PMTK":
+            raise FormatError(f"{path}: a version-1 PMTK container; retrain to write .npz")
+        if magic != b"PK\x03\x04":
+            raise FormatError(f"{path}: not an .npz checkpoint (starts with {magic!r})")
         total = _entry_total(fh)
-    if magic == b"PMTK":
-        raise FormatError(f"{path}: a version-1 PMTK container; retrain to write .npz")
-    if magic != b"PK\x03\x04":
-        raise FormatError(f"{path}: not an .npz checkpoint (starts with {magic!r})")
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            names = archive.files
-            out = {name: archive[name] for name in names}
-    except _DAMAGE as exc:
-        raise FormatError(f"{path}: unreadable archive: {exc!r}") from exc
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as archive:
+                names = archive.files
+                out = {name: archive[name] for name in names}
+        except _DAMAGE as exc:
+            raise FormatError(f"{path}: unreadable archive: {exc!r}") from exc
     if total is None:
         raise FormatError(f"{path}: the archive does not end in its "
                           "end-of-central-directory record")

@@ -223,11 +223,15 @@ def patch_embed(x: T.Tensor, n: int, W_proj: T.Tensor, E_pos: T.Tensor) -> T.Ten
 # Residual Vim block
 # ---------------------------------------------------------------------------
 
+# inner width of a Vim block, as a multiple of its token width
+EXPAND = 2
+
+
 class VimBlockWeights(T.Module):
     """All learned state of one residual Vim block over D-dim tokens."""
 
-    def __init__(self, rng: np.random.Generator, d: int, s: int = 8, expand: int = 2):
-        e = expand * d
+    def __init__(self, rng: np.random.Generator, d: int, s: int = 8):
+        e = EXPAND * d
         self.d = d
         self.norm_g = T.Parameter(np.ones(d))
         self.norm_b = T.zeros_param((d,))

@@ -206,6 +206,17 @@ def test_train_divergence_exits_1_with_message(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-3"])
+def test_train_bad_batch_size_exits_1(tmp_path, capsys, batch_size):
+    root = tmp_path / "data"
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
+    rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"),
+               "--epochs", "1", "--batch-size", batch_size])
+    assert rc == 1
+    assert f"batch size must be at least 1, got {batch_size}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def test_train_without_val_split_exits_1(tmp_path, capsys):
     root = tmp_path / "data"
     # 8 samples split 8/0/0: no validation split
@@ -254,6 +265,16 @@ def test_bench_writes_scaling_and_profile(tmp_path):
     assert len(lines) == 9  # 4 scan + 4 attention rows
     model_lines = (tmp_path / "bench_model.csv").read_text().strip().split("\n")
     assert model_lines[0] == "params,forward_ms,peak_bytes"
+    replay = build_parser().parse_args([f"@{out}.config"])
+    assert replay.lengths == [16, 32, 64, 128]
+
+
+def test_bench_bad_lengths_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--out", str(tmp_path / "b.csv"), "--lengths", "64,128,x,256"])
+    assert exc.value.code == 2
+    assert "comma-separated integers" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_gradcheck_passes(capsys):

@@ -9,11 +9,15 @@ from pmtk import tensor as T
 from pmtk.data import Sample, SynthConfig, synth_generate
 from pmtk.errors import ConfigError, DimensionError, DivergenceError
 from pmtk.model import (
+    LOSS_WEIGHTS,
     MICRO_PLAN,
-    LossWeights,
+    PATCH_SIZES,
+    TOTAL_STRIDE,
+    AblateConfig,
     PMamba,
     StagePlan,
     TrainConfig,
+    ablate,
     evaluate,
     mask_metrics,
     model_profile,
@@ -37,13 +41,10 @@ def test_plan_validates_shape_of_itself():
         StagePlan(widths=(16, 32, 64))
     with pytest.raises(ConfigError):
         StagePlan(widths=(16, 16, 32, 64))
-    with pytest.raises(ConfigError):
-        StagePlan(num_classes=1)
 
 
 def test_total_stride():
-    assert StagePlan().total_stride == 32
-    assert MICRO_PLAN.total_stride == 32
+    assert TOTAL_STRIDE == np.prod(PATCH_SIZES) == 32
 
 
 def test_forward_output_heads_and_shapes():
@@ -77,26 +78,9 @@ def test_total_loss_weights_terms():
     x = T.Tensor(np.random.default_rng(3).standard_normal((1, 1, 32, 32)))
     target = np.zeros((1, 32, 32), dtype=np.int64)
     out = model(x)
-    lw = LossWeights()
-    total, parts = total_loss(out, target, lw)
-    expect = (lw.w_prim * parts["prim"] + lw.w_fcn * parts["fcn"]
-              + lw.w_pmd * parts["pmd"] + lw.w_vim * parts["vim"])
+    total, parts = total_loss(out, target)
+    expect = sum(w * parts[name] for name, w in LOSS_WEIGHTS.items())
     assert total.item() == pytest.approx(expect, rel=1e-6)
-
-
-def test_total_loss_zero_weight_drops_term_from_graph():
-    model = micro_model()
-    x = T.Tensor(np.random.default_rng(4).standard_normal((1, 1, 32, 32)))
-    target = np.zeros((1, 32, 32), dtype=np.int64)
-    lw = LossWeights(w_fcn=0.0, w_pmd=0.0, w_vim=0.0)
-    with T.Tape() as tape:
-        out = model(x)
-        total, parts = total_loss(out, target, lw)
-    grads = T.backward(tape, total)
-    assert total.item() == pytest.approx(lw.w_prim * parts["prim"], rel=1e-6)
-    # the auxiliary head weights sit off the weighted graph
-    g = T.grad_of(grads, model.fcn_head.classify)
-    np.testing.assert_array_equal(g, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +206,13 @@ def test_train_toy_deterministic():
         np.testing.assert_array_equal(p1.data, p2.data)
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
+                                          ("epochs", -1)])
+def test_train_config_rejects_bad_counts(field, value):
+    with pytest.raises(ConfigError, match=field.replace("_", " ")):
+        TrainConfig(**{field: value})
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_toy_raises_on_divergence():
     # lr 1.0 drives the micro model's loss to NaN in the second epoch; the
@@ -281,3 +272,21 @@ def test_model_profile_fields():
     assert prof["params"] == model.parameter_count()
     assert prof["forward_ms"] > 0
     assert prof["peak_bytes"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Ablation
+# ---------------------------------------------------------------------------
+
+def test_ablate_smoke():
+    # the plumbing only: one seed, one epoch, the default plan at 32x32
+    cfg = AblateConfig(seeds=(0,), count=10, epochs=1, size=32)
+    result = ablate(cfg)
+    assert [r[:2] for r in result["runs"]] == [(v, 0) for v in cfg.variants]
+    assert [r[0] for r in result["summary"]] == list(cfg.variants)
+    for row in result["runs"] + result["summary"]:
+        assert all(0.0 <= v <= 1.0 for v in row[-3:])
+    assert ablate(cfg) == result
+    with pytest.raises(ConfigError, match="unknown variant"):
+        ablate(AblateConfig(variants=("full", "fft"), seeds=(0,), count=10,
+                            epochs=1, size=32))

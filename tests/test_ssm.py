@@ -177,7 +177,7 @@ def test_selective_scan_rejects_wrong_width():
 
 def test_vim_block_preserves_shape():
     rng = np.random.default_rng(5)
-    w = VimBlockWeights(rng, d=4, s=2, expand=2)
+    w = VimBlockWeights(rng, d=4, s=2)
     X = T.Tensor(rng.standard_normal((2, 6, 4)))
     out = vim_block(X, w)
     assert out.shape == (2, 6, 4)
