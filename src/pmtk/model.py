@@ -317,6 +317,12 @@ def _grad_norm(params, grads: dict) -> float:
     return float(np.sqrt(sq))
 
 
+def _first_non_finite_grad(model, grads: dict) -> str | None:
+    """Name of the first parameter whose gradient holds a non-finite value."""
+    return next((name for name, p in model.named_parameters()
+                 if p in grads and not np.isfinite(grads[p]).all()), None)
+
+
 def _first_non_finite(forward) -> str:
     """Replay ``forward()`` under ``T.FiniteCheck`` with the current weights;
     its DivergenceError message names the first non-finite op."""
@@ -336,8 +342,9 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
     metric log incrementally when cfg.log_path is set (header LOG_HEADER).
     Raises DivergenceError, naming the epoch, the batch and the first op
     whose output went non-finite, as soon as a batch loss is non-finite,
-    before any update from it. A validation forward that goes non-finite
-    raises it from ``predict``.
+    before any update from it; and, naming the first parameter, when a finite
+    loss has a non-finite gradient. A validation forward that goes
+    non-finite raises it from ``predict``.
     """
     if not train_samples:
         raise DataError("empty training set")
@@ -374,8 +381,17 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                     raise DivergenceError(
                         f"non-finite loss {loss.item()} at epoch {epoch}, batch "
                         f"{batches}: {cause}; lower the learning rate (lr {cfg.lr})")
-                grads = T.backward(tape, loss)
-                grad_norm = max(grad_norm, _grad_norm(opt.params, grads))
+                with np.errstate(all="ignore"):
+                    grads = T.backward(tape, loss)
+                    norm = _grad_norm(opt.params, grads)
+                # a finite loss can still have a non-finite gradient, which
+                # the step would write into the weights
+                bad = _first_non_finite_grad(model, grads)
+                if bad is not None:
+                    raise DivergenceError(
+                        f"non-finite gradient at epoch {epoch}, batch {batches}: {bad} "
+                        f"(loss {loss.item()}); lower the learning rate (lr {cfg.lr})")
+                grad_norm = max(grad_norm, norm)
                 opt.step(grads)
                 for key in sums:
                     sums[key] += parts[key]

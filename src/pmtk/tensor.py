@@ -9,6 +9,13 @@ reverse of recording order is a valid topological order because the graph is
 built eagerly. The tape is the one instrumentation point: ``FiniteCheck`` is a
 tape that stops at the first non-finite record, named by ``record_name``.
 
+The reverse sweep keeps only its frontier: a record's output gradient is
+dropped as soon as that record's closure has consumed it, so the map that
+``backward`` returns holds the leaves alone (tensors no record produced).
+Gradients are passed around without copies, so a closure never writes into
+its incoming gradient ``g`` (it arrives read-only); it may return ``g`` or
+views of it.
+
 Every layout-aware primitive takes a leading batch axis: feature maps are
 [B,C,H,W] and token sequences are [B,L,D]. A single image or sequence is a
 batch of one.
@@ -137,26 +144,47 @@ def record_op(inputs: tuple, out_data: np.ndarray, backward_fn: Callable) -> Ten
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
-    """Reverse sweep; returns a map from tensor (identity) to gradient array."""
+    """Reverse sweep; returns a map from each leaf (a tensor no record
+    produced, keyed by identity) on a path to the loss to its gradient.
+
+    The map holds only the frontier: a record's output gradient is popped
+    when its record consumes it, so no dead gradient outlives its use.
+    Each closure gets its gradient ``g`` read-only; it must not write into
+    it, and may return ``g`` itself or views of it. A first-arriving
+    gradient is stored as returned (cast only when its dtype differs from
+    the loss's), so entries may share memory; a second arrival adds into a
+    fresh array, and later ones add in place into that array. The returned
+    gradients are read-only.
+    """
     if loss.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
+    dtype = loss.data.dtype
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    owned = {loss}                     # entries only this sweep can reach
     for inputs, output, backward_fn in reversed(tape._records):
-        g = grads.get(output)
+        g = grads.pop(output, None)
         if g is None:
             continue
+        g.flags.writeable = False
         in_grads = backward_fn(g)
         for inp, gi in zip(inputs, in_grads):
             if gi is None:
                 continue
             acc = grads.get(inp)
             if acc is None:
-                # own the buffer: backward fns may return views of (or the
-                # same object as) another entry's gradient, and accumulating
-                # in place into an aliased array would corrupt that entry
-                grads[inp] = np.array(gi, dtype=loss.data.dtype)
-            else:
+                if gi.dtype == dtype:
+                    grads[inp] = gi
+                else:
+                    grads[inp] = np.array(gi, dtype=dtype)
+                    owned.add(inp)
+            elif inp in owned:
                 acc += gi
+            else:
+                # the entry is borrowed, possibly shared with another entry
+                grads[inp] = np.add(acc, gi, out=np.empty_like(acc))
+                owned.add(inp)
+    for g in grads.values():
+        g.flags.writeable = False
     return grads
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmtk import precision
 from pmtk import tensor as T
 from pmtk.data import Sample, SynthConfig, synth_generate
 from pmtk.errors import ConfigError, DimensionError, DivergenceError
@@ -222,6 +223,20 @@ def test_train_toy_raises_on_divergence():
     cfg = TrainConfig(epochs=2, batch_size=4, lr=1.0, seed=0, size=32,
                       plan=MICRO_PLAN)
     with pytest.raises(DivergenceError, match=r"epoch 1, batch 1: \w+\.\w+ \(tape record \d+\)"):
+        train_toy(samples, [], cfg)
+
+
+def test_train_toy_raises_on_non_finite_gradient_of_finite_loss():
+    # in f32 at lr 1.0, the step at epoch 1, batch 1 has a finite loss
+    # (2.5e32) whose gradient overflows; the error must name the parameter
+    # before the step writes NaN into the weights (without the check this
+    # run returns NaN weights and raises nothing)
+    samples = synth_generate(SynthConfig(seed=1, count=16, size=32))
+    cfg = TrainConfig(epochs=2, batch_size=8, lr=1.0, seed=1, size=32,
+                      plan=MICRO_PLAN)
+    with precision.use("f32"), pytest.raises(
+            DivergenceError,
+            match=r"non-finite gradient at epoch 1, batch 1: vim_branch\.embeds\.0\.W_proj "):
         train_toy(samples, [], cfg)
 
 

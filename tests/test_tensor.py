@@ -6,10 +6,12 @@ and the couple of ops whose values are easy to verify by hand.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pmtk import model as M
 from pmtk import precision
 from pmtk import tensor as T
 from pmtk.errors import DataError, DimensionError, DivergenceError
@@ -75,6 +77,109 @@ def test_view_returning_backward_not_corrupted():
         loss = T.add(T.tsum(r), T.tsum(x))
     g = T.grad_of(T.backward(tape, loss), x)
     np.testing.assert_allclose(g, np.full((2, 2), 2.0))
+
+
+def test_add_of_two_leaves_and_of_a_leaf_with_itself():
+    a, b, x = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0]), T.Tensor([5.0, 6.0])
+    with T.Tape() as tape:
+        loss = T.tsum(T.add(T.add(a, b), T.add(x, x)))
+    grads = T.backward(tape, loss)
+    assert set(grads) == {a, b, x}
+    np.testing.assert_array_equal(grads[a], [1.0, 1.0])
+    np.testing.assert_array_equal(grads[b], [1.0, 1.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 2.0])
+
+
+def test_returned_gradients_are_read_only():
+    # add hands one array to both leaves; a write through either entry
+    # would change the other
+    a, b = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
+    with T.Tape() as tape:
+        loss = T.tsum(T.mul(T.add(a, b), T.Tensor([2.0, 3.0])))
+    grads = T.backward(tape, loss)
+    for g in grads.values():
+        assert not g.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g += 1.0
+    np.testing.assert_array_equal(grads[a], [2.0, 3.0])
+    np.testing.assert_array_equal(grads[b], [2.0, 3.0])
+
+
+def test_closure_writing_into_its_gradient_raises():
+    x = T.Tensor([1.0, 2.0])
+
+    def bwd(g):
+        g *= 2.0
+        return (g,)
+
+    with T.Tape() as tape:
+        y = T.record_op((x,), x.data.copy(), bwd)
+        loss = T.tsum(T.add(y, y))
+    with pytest.raises(ValueError, match="read-only"):
+        T.backward(tape, loss)
+
+
+def reference_backward(tape, loss):
+    """The copy-everything sweep: every gradient, a copy of each first
+    arrival, kept until the end."""
+    grads = {loss: np.ones_like(loss.data)}
+    for inputs, output, backward_fn in reversed(list(tape)):
+        g = grads.get(output)
+        if g is None:
+            continue
+        for inp, gi in zip(inputs, backward_fn(g)):
+            if gi is None:
+                continue
+            acc = grads.get(inp)
+            if acc is None:
+                grads[inp] = np.array(gi, dtype=loss.data.dtype)
+            else:
+                acc += gi
+    return grads
+
+
+def micro_training_tape():
+    """Tape and loss of one micro-model training step at batch 8, 32x32."""
+    rng = np.random.default_rng(0)
+    model = M.PMamba(rng, M.MICRO_PLAN, size=32)
+    x = rng.uniform(0.0, 1.0, (8, 1, 32, 32))
+    target = (rng.uniform(size=(8, 32, 32)) > 0.5).astype(np.int64)
+    with T.Tape() as tape:
+        loss, _ = M.total_loss(model(T.Tensor(x)), target)
+    return tape, loss
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_backward_equals_copy_everything_sweep_bit_for_bit(mode):
+    with precision.use(mode):
+        tape, loss = micro_training_tape()
+        ref = reference_backward(tape, loss)
+        grads = T.backward(tape, loss)
+    produced = {output for _, output, _ in tape}
+    leaves = {t for t in ref if t not in produced}
+    assert set(grads) == leaves
+    assert (len(grads), len(ref)) == (314, 715)
+    for t in leaves:
+        assert grads[t].dtype == ref[t].dtype
+        assert grads[t].tobytes() == ref[t].tobytes()
+
+
+def test_backward_frees_consumed_gradients():
+    # tracemalloc counts numpy's buffers exactly, so these figures repeat;
+    # a sweep that keeps dead gradients again retains ~5x as much
+    tape, loss = micro_training_tape()
+    traced = []
+    for sweep in (reference_backward, T.backward):
+        tracemalloc.start()
+        try:
+            grads = sweep(tape, loss)
+            traced.append(tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        del grads
+    (ref_retained, ref_peak), (retained, peak) = traced
+    assert peak < 0.5 * ref_peak
+    assert retained < 0.25 * ref_retained
 
 
 def test_shape_mismatch_raises():
