@@ -324,14 +324,14 @@ def _first_non_finite_grad(model, grads: dict) -> str | None:
 
 
 def _first_non_finite(forward) -> str:
-    """Replay ``forward()`` under ``T.FiniteCheck`` with the current weights;
+    """Rerun ``forward()`` under ``T.FiniteCheck`` with the current weights;
     its DivergenceError message names the first non-finite op."""
     try:
         with np.errstate(all="ignore"), T.FiniteCheck():
             forward()
     except DivergenceError as err:
         return str(err)
-    return "the checked replay stayed finite"
+    return "the checked rerun stayed finite"
 
 
 def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> tuple:

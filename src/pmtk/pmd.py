@@ -21,7 +21,7 @@ Scaling lh and hl by the gate m and synthesizing changes only the diagonal
 pairs: a += f*p, d -= f*p, b += f*q, c -= f*q, with f = (m - 1)/2 in
 attenuate mode and f = m/2 in as-written mode; ll and hh pass through. Per
 block the map on (a, d) and on (b, c) is [[1+f, -f], [-f, 1+f]], which is
-symmetric: for a frozen gate the step is self-adjoint.
+symmetric, so at a fixed gate the step is self-adjoint.
 
 Every wavelet user applies a gate through that one in-place butterfly,
 ``_gated``, on four same-shape arrays holding the a, b, c and d entries of the
@@ -42,9 +42,8 @@ at the edge pixels only, through the neighbour indices of
 the run is on planes.
 
 ``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
-unit. The diffusion gate g is frozen during the backward pass (it is computed
-from forward values and treated as a constant), so gradients flow through the
-step as through a fixed self-adjoint linear map.
+unit. Its backward is the derivative of the step, gate included
+(``pmd_apply``).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError, UsageError
+from .errors import ConfigError, DimensionError
 from .wavelet import _check_even
 
 MODES = ("as-written", "attenuate")
@@ -150,6 +149,11 @@ def _gate(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     return diffusivity(np.sqrt((p * p + q * q) * 0.5), k)
 
 
+def _factor(m: np.ndarray, mode: str) -> np.ndarray:
+    """The butterfly's f for gate ``m``: (m - 1)/2 attenuating, m/2 as written."""
+    return (m - 1.0) * 0.5 if mode == "attenuate" else m * 0.5
+
+
 def _gated(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
            p: np.ndarray, q: np.ndarray, m: np.ndarray, mode: str) -> None:
     """Scale the Haar detail bands of the blocks by the gate ``m``, in place.
@@ -161,7 +165,7 @@ def _gated(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
     idwt2 of {ll, m*lh, m*hl, hh}, or u plus idwt2 of {0, m*lh, m*hl, 0}.
     For a fixed gate the map is symmetric, so it is its own adjoint.
     """
-    f = (m - 1.0) * 0.5 if mode == "attenuate" else m * 0.5
+    f = _factor(m, mode)
     p *= f
     a += p
     d -= p
@@ -298,44 +302,18 @@ def sobel_magnitude(x: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-class GateTrace(T.Tape):
-    """A tape that records each diffusion gate, or replays recorded ones.
-
-    The in-network diffusion holds its gate constant in the backward pass, so
-    a finite-difference probe of the training objective must evaluate with the
-    gate pinned at its center-point value; letting the probe re-derive the
-    gate would differentiate a different function than the tape does.
-    ``pmd_apply`` finds this tape through ``T.active_tape()``: under
-    ``GateTrace()`` it computes each gate and appends it to ``gates``; under
-    ``GateTrace(replay=recorded.gates)`` it takes the recorded gates instead,
-    in call order, since blocks call the diffusion in a fixed order. Under any
-    other tape, or none, the gate is computed afresh.
-    """
-
-    def __init__(self, replay: list | None = None):
-        super().__init__()
-        self.replay = replay
-        self.gates: list = []
-
-    def gate(self, compute) -> np.ndarray:
-        if self.replay is None:
-            m = compute()
-        elif len(self.gates) < len(self.replay):
-            m = self.replay[len(self.gates)]
-        else:
-            raise UsageError("gate replay ran past the recorded trace")
-        self.gates.append(m)
-        return m
-
-
 def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
-    """Tape-recorded wavelet diffusion step with the gate g held constant.
+    """Tape-recorded wavelet diffusion step; the backward is its exact derivative.
 
-    The gate is computed once from the forward values, or taken from an
-    active replaying ``GateTrace``. What remains is the butterfly of
-    ``_gated``: per 2x2 block the symmetric map [[1+f, -f], [-f, 1+f]] on
-    the diagonal pairs (a, d) and (b, c), so the backward pass applies the
-    same map, with the same frozen gate, to the incoming gradient.
+    Per 2x2 block the step is the butterfly of ``_gated``: a += f*p,
+    d -= f*p, b += f*q, c -= f*q with f = _factor(m), m = 1/(1 + r2/k^2) and
+    r2 = (p^2 + q^2)/2. At fixed m its transpose is the same butterfly on the
+    block gradients (ga, gb, gc, gd). The gate adds a += e*p, d -= e*p,
+    b += e*q, c -= e*q, where s = p*(ga - gd) + q*(gb - gc) and
+    e = -s*m^2/(2k^2), from df/dm = 1/2 in both modes and dm/dr2 = -m^2/k^2.
+    It is taken through r2, not through the sqrt in ``_gate``, whose slope is
+    infinite at 0. The backward recomputes p and q from ``x.data``, so the
+    record keeps only the gate m.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -343,14 +321,30 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
     a, b, c, d = _blocks(out)
     p = a - d
     q = b - c
-    tape = T.active_tape()
-    m = tape.gate(lambda: _gate(p, q, k)) if isinstance(tape, GateTrace) else _gate(p, q, k)
+    m = _gate(p, q, k)
     _gated(a, b, c, d, p, q, m, mode)
 
     def backward(g):
         gx = g.copy()
-        a, b, c, d = _blocks(gx)
-        _gated(a, b, c, d, a - d, b - c, m, mode)
+        ga, gb, gc, gd = _blocks(gx)
+        a, b, c, d = _blocks(x.data)
+        p = a - d
+        q = b - c
+        u = ga - gd
+        v = gb - gc
+        e = p * u + q * v
+        e *= m * m * (-0.5 / (k * k))
+        # both terms in one pass over the strided blocks: each diagonal pair
+        # moves by f*(ga - gd) + e*p and by f*(gb - gc) + e*q
+        f = _factor(m, mode)
+        u *= f
+        u += e * p
+        v *= f
+        v += e * q
+        ga += u
+        gd -= u
+        gb += v
+        gc -= v
         return (gx,)
 
     return T.record_op((x,), out, backward)

@@ -4,7 +4,7 @@ The operation set is exactly what the segmentation pipeline needs: elementwise
 arithmetic, linear layers, 3x3/1x1 convolution, batch-stat and token-wise
 normalization, bilinear upsampling, pixelwise softmax cross-entropy, and a few
 shape movers. Every primitive computes its forward value eagerly with numpy
-and, when a tape is active, records a backward closure. Replaying the tape in
+and, when a tape is active, records a backward closure. Walking the tape in
 reverse of recording order is a valid topological order because the graph is
 built eagerly. The tape is the one instrumentation point: ``FiniteCheck`` is a
 tape that stops at the first non-finite record, named by ``record_name``.
@@ -76,7 +76,7 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of primitive operations for one reverse sweep.
 
-    ``backward`` replays the records strictly in reverse of recording order and
+    ``backward`` visits the records strictly in reverse of recording order and
     accumulates gradients in a map keyed by tensor identity. Tensors that do
     not lie on a path to the loss simply never appear in the map (their
     gradient is zero).

@@ -11,7 +11,7 @@ import pytest
 
 from pmtk import precision
 from pmtk.cli import main
-from pmtk.gradcheck import (FAMILIES, central_diff, check_scalar_fn, fd_step,
+from pmtk.gradcheck import (FD_STEP, FAMILIES, central_diff, check_scalar_fn,
                             max_rel_err, noise_floor_coeff, run_gradient_suite,
                             tolerance)
 from pmtk.tensor import Tensor, linear, mul, record_op, tsum
@@ -21,7 +21,7 @@ def test_finite_diff_on_quadratic_is_exact_to_truncation():
     # f(x) = sum(x^2) has gradient 2x and zero third derivative, so the
     # central difference is exact up to quotient roundoff.
     x = Tensor(np.array([0.5, -1.25, 2.0]), dtype=np.float64)
-    (g,) = central_diff(lambda: float((x.data ** 2).sum()), [x], [range(3)], fd_step())
+    (g,) = central_diff(lambda: float((x.data ** 2).sum()), [x], [range(3)], FD_STEP)
     np.testing.assert_allclose(g, 2 * x.data, atol=1e-9)
 
 
@@ -33,7 +33,7 @@ def test_central_diff_probes_only_the_picked_elements_in_64_bit():
         dtypes.add(x.data.dtype)
         return float((x.data ** 2).sum())
 
-    (g,) = central_diff(objective, [x], [[3, 0]], fd_step())
+    (g,) = central_diff(objective, [x], [[3, 0]], FD_STEP)
     np.testing.assert_allclose(g, [6.0, 1.0], atol=1e-9)
     assert dtypes == {np.dtype(np.float64)}
     assert x.data.dtype == np.float32
@@ -53,7 +53,7 @@ def test_central_diff_restores_leaves_when_the_objective_raises():
         return float(a.data.sum() + b.data.sum())
 
     with pytest.raises(RuntimeError, match="objective failed"):
-        central_diff(objective, [a, b], [range(3), range(2)], fd_step())
+        central_diff(objective, [a, b], [range(3), range(2)], FD_STEP)
     for t, data, values in zip((a, b), originals, saved):
         assert t.data is data
         np.testing.assert_array_equal(t.data, values)
