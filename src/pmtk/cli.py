@@ -22,10 +22,11 @@ from . import serialize
 from .data import (SynthConfig, load_dataset, load_image, save_dataset,
                    save_image, split, synth_generate)
 from .errors import ConfigError, DataError, PmtkError
-from .gradcheck import check_model_micro, run_gradient_suite, tolerance
+from .gradcheck import check_model_micro, run_gradient_suite
 from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
                     model_profile, train_toy)
 from .pmd import DiffusionConfig, denoise_with_log, pmd_step_fd
+from .precision import DEFAULT, GRADCHECK
 from .ssm import loglog_slope, scan_complexity_probe
 from .wavelet import dwt2
 
@@ -166,7 +167,7 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     seeds = tuple(range(args.seed, args.seed + 5))
     results = run_gradient_suite(seeds)
-    tol = tolerance()
+    tol, _ = GRADCHECK[DEFAULT]
     failed = False
     for name, err in results:
         ok = err <= tol

@@ -1,16 +1,18 @@
 """Finite-difference verification of tape gradients.
 
-Tape gradients are computed under the ambient precision mode. Every
+Tape gradients are computed in the dtype of the leaves being checked, which
+every op follows, so the loss carries it too and keys the tolerance. Every
 reference comes from ``central_diff``: it rebinds each probed leaf's
 ``.data`` to a 64-bit copy, perturbs the picked elements of those copies in
 place and evaluates the objective in 64-bit, so the difference quotient
-carries roundoff ~eps64*|loss|/h instead of the ~1e-4 a 32-bit forward would
-inject. The copies hold the ambient-precision values exactly, so the probes
-run at the tape's own point. What the comparison then measures is the
-correctness of the backward formulas plus the 32-bit tape's own rounding,
-which is what the 1e-3 (32-bit) / 1e-6 (64-bit) tolerances are for.
+carries roundoff ~eps64*|loss|/h instead of the ~1e-4 a 32-bit forward
+would inject. The copies hold the leaves' values exactly, so the probes run
+at the tape's own point. What the comparison then measures is the
+correctness of the backward formulas plus the tape's own rounding, which is
+what the tolerances of ``precision.GRADCHECK`` (1e-3 for 32-bit leaves,
+1e-6 for 64-bit) are for.
 
-The op families use a step of h=1e-5 in both modes. Large enough that a
+The op families use a step of h=1e-5 in both dtypes. Large enough that a
 relu pre-activation a few 1e-4 from zero is not straddled by the probe pair,
 small enough that quotient roundoff stays ~1e-10 per unit of loss magnitude.
 The micro model uses h=1e-7 (see ``check_model_micro``).
@@ -32,10 +34,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import precision
 from . import tensor as T
 from .model import MICRO_PLAN, PMamba, total_loss
 from .pmd import PmdBlock, pmd_apply
+from .precision import GRADCHECK
 from .ssm import VimBlockWeights, scan_core, vim_block
 from .tensor import Tape, Tensor, backward, grad_of, record_name
 
@@ -44,44 +46,33 @@ from .tensor import Tape, Tensor, backward, grad_of, record_name
 FD_STEP = 1e-5
 
 
-def noise_floor_coeff() -> float:
-    """Floor per unit of loss magnitude; looser in 32-bit where the tape
-    itself perturbs small gradient entries by ~eps32 * intermediate scale."""
-    return 1e-4 if precision.is_double() else 1e-3
-
-
-def tolerance() -> float:
-    return 1e-6 if precision.is_double() else 1e-3
-
-
 def central_diff(objective: Callable[[], float], leaves: Sequence[Tensor],
                  picks: Sequence[Sequence[int]], h: float) -> list[np.ndarray]:
     """Central differences of ``objective()`` at the picked flat elements of
     each leaf: one 64-bit array per leaf, aligned with its picks.
 
     Every leaf's ``.data`` is rebound to a 64-bit copy for the duration, so
-    the objective runs in 64-bit at the same point; the picked elements of
-    the copies are perturbed in place, and the original arrays are rebound
-    in a ``finally``.
+    an objective built on the leaves runs in 64-bit at the same point; the
+    picked elements of the copies are perturbed in place, and the original
+    arrays are rebound in a ``finally``.
     """
     originals = [t.data for t in leaves]
     fds = []
     try:
-        with precision.use("f64"):
-            for t in leaves:
-                t.data = np.array(t.data, dtype=np.float64, order="C")
-            for t, idx in zip(leaves, picks):
-                flat = t.data.reshape(-1)
-                fd = np.empty(len(idx))
-                for n, j in enumerate(idx):
-                    keep = flat[j]
-                    flat[j] = keep + h
-                    fp = objective()
-                    flat[j] = keep - h
-                    fm = objective()
-                    flat[j] = keep
-                    fd[n] = (fp - fm) / (2.0 * h)
-                fds.append(fd)
+        for t in leaves:
+            t.data = np.array(t.data, dtype=np.float64, order="C")
+        for t, idx in zip(leaves, picks):
+            flat = t.data.reshape(-1)
+            fd = np.empty(len(idx))
+            for n, j in enumerate(idx):
+                keep = flat[j]
+                flat[j] = keep + h
+                fp = objective()
+                flat[j] = keep - h
+                fm = objective()
+                flat[j] = keep
+                fd[n] = (fp - fm) / (2.0 * h)
+            fds.append(fd)
     finally:
         for t, data in zip(leaves, originals):
             t.data = data
@@ -107,7 +98,7 @@ def _check_leaves(loss_fn: Callable[[], Tensor], leaves: Sequence[Tensor]) -> fl
         loss = loss_fn()
     grads = backward(tape, loss)
     analytic = [grad_of(grads, t).reshape(-1) for t in leaves]
-    floor = noise_floor_coeff() * max(1.0, abs(loss.item()))
+    floor = GRADCHECK[loss.data.dtype][1] * max(1.0, abs(loss.item()))
     fds = central_diff(lambda: loss_fn().item(), leaves,
                        [range(t.size) for t in leaves], FD_STEP)
     return max(max_rel_err(a, fd, floor) for a, fd in zip(analytic, fds))
@@ -117,8 +108,8 @@ def check_scalar_fn(f: Callable[[Sequence[Tensor]], Tensor],
                     xs: Sequence[np.ndarray]) -> float:
     """Worst relative error of tape gradients of ``f`` vs central differences.
 
-    ``f`` maps a list of Tensors, built from ``xs`` under the ambient
-    precision, to a scalar Tensor.
+    ``f`` maps a list of Tensors, built from ``xs`` in the default dtype
+    (``precision.DEFAULT``), to a scalar Tensor.
     """
     leaves = [Tensor(x) for x in xs]
     return _check_leaves(lambda: f(leaves), leaves)
@@ -328,7 +319,7 @@ def check_model_micro(seed: int) -> float:
     #   * a norm channel whose batch variance lands near the normalizer's
     #     eps has curvature ~1/eps^1.5 and defeats any step size;
     #   * a relu pre-activation within ~1e-6 of zero can flip its active set
-    #     between the ambient-precision tape pass and the 64-bit probes,
+    #     between the 32-bit tape pass and the 64-bit probes,
     #     charging that unit's whole downstream contribution to the error.
     def conditioning(xc) -> float:
         """min(worst norm variance / 3e-5, worst relu margin / 1e-4).
@@ -365,7 +356,7 @@ def check_model_micro(seed: int) -> float:
     with Tape() as tape:
         loss, _ = total_loss(model(xt), target)
     grads = backward(tape, loss)
-    floor = 100.0 * noise_floor_coeff() * max(1.0, abs(float(loss.item())))
+    floor = 100.0 * GRADCHECK[loss.data.dtype][1] * max(1.0, abs(float(loss.item())))
 
     def objective() -> float:
         return float(total_loss(model(xt), target)[0].item())

@@ -244,8 +244,16 @@ def mask_metrics(pred: np.ndarray, true: np.ndarray) -> tuple:
     return precision, recall, dice
 
 
+def _param_dtype(model: T.Module) -> np.dtype:
+    """The dtype of the model's parameters, which its inputs are cast to."""
+    _, p = next(model.named_parameters())
+    return p.data.dtype
+
+
 def predict(model: PMamba, images: np.ndarray) -> np.ndarray:
     """Argmax masks from the primary head; images [B,1,H,W] -> [B,H,W].
+
+    The images are cast to the dtype of the model's parameters.
 
     Runs only the encoders and the primary head (``seg_head``); the three
     auxiliary heads feed the training loss alone, so they are skipped. The
@@ -255,8 +263,10 @@ def predict(model: PMamba, images: np.ndarray) -> np.ndarray:
     non-finite, when any logit is non-finite: the argmax of NaN logits is
     class 0 everywhere and would pass for a prediction.
     """
+    x = T.Tensor(images, _param_dtype(model))
+
     def logits():
-        return model.seg_head(model.encode(T.Tensor(images))[2])
+        return model.seg_head(model.encode(x)[2])
 
     # overflow is reported below, by the op that caused it
     with np.errstate(all="ignore"):
@@ -352,6 +362,7 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
     model = PMamba(rng, cfg.plan, cfg.size)
     opt = T.Momentum(model.parameters(), cfg.lr, cfg.momentum)
     images, masks = _stack(train_samples)
+    dtype = _param_dtype(model)
     n = len(train_samples)
     log_fh = open(cfg.log_path, "w") if cfg.log_path else None
     if log_fh:
@@ -368,7 +379,7 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                 idx = order[start:start + cfg.batch_size]
 
                 def batch_loss():
-                    return total_loss(model(T.Tensor(images[idx])), masks[idx])
+                    return total_loss(model(T.Tensor(images[idx], dtype)), masks[idx])
 
                 # overflow is reported below, by the op that caused it,
                 # instead of as numpy warnings from wherever it surfaced

@@ -396,7 +396,7 @@ class PmdBlock(T.Module):
         elif self.preprocess == "sobel":
             # The gradient feature is a fresh constant tensor: gradients reach
             # x only through the identity slice of the concat.
-            h = T.concat([x, T.Tensor(sobel_magnitude(x.data))], axis=-3)
+            h = T.concat([x, T.Tensor(sobel_magnitude(x.data), x.data.dtype)], axis=-3)
         else:
             h = x
         y = T.conv2d(h, self.w1, stride=self.stride, pad=1)

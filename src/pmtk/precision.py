@@ -1,53 +1,27 @@
-"""Global float precision switch.
+"""Float precision: a property of the arrays, not of the process.
 
-32-bit is the default working mode; 64-bit tightens oracle comparisons in the
-gradient-check suites. Selected once per process via set_precision() or the
-PMTK_PRECISION environment variable ({f32, f64}), or temporarily via use().
+Every computation runs in the dtype of the arrays it is handed, following
+numpy's promotion rules. ``DEFAULT`` is the dtype a ``Tensor`` is built in
+when none is given, so parameters and images start in 32-bit; a 64-bit
+model is one whose parameters were cast to float64.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import numpy as np
 
-from .errors import ConfigError
+DEFAULT = np.dtype(np.float32)
 
-_NAMES = {"f32": np.float32, "f64": np.float64}
-_current = "f32"
-
-
-def set_precision(name: str) -> None:
-    global _current
-    if name not in _NAMES:
-        raise ConfigError(f"precision must be one of {sorted(_NAMES)}, got {name!r}")
-    _current = name
+# (tolerance, noise-floor coefficient) of a gradient check, by the dtype of
+# the leaves checked. The floor is per unit of loss magnitude; it is looser in
+# 32-bit, where the tape itself perturbs small gradient entries by
+# ~eps32 * intermediate scale.
+GRADCHECK = {
+    np.dtype(np.float32): (1e-3, 1e-3),
+    np.dtype(np.float64): (1e-6, 1e-4),
+}
 
 
 def precision() -> str:
-    return _current
-
-
-def dtype() -> np.dtype:
-    return np.dtype(_NAMES[_current])
-
-
-def is_double() -> bool:
-    return _current == "f64"
-
-
-@contextlib.contextmanager
-def use(name: str):
-    """Temporarily switch precision (affects tensors created inside)."""
-    previous = _current
-    set_precision(name)
-    try:
-        yield
-    finally:
-        set_precision(previous)
-
-
-_env = os.environ.get("PMTK_PRECISION")
-if _env:
-    set_precision(_env)
+    """Name of the default dtype."""
+    return "f32"

@@ -9,12 +9,14 @@ micro model (``pmtk gradcheck --model``) runs as a slow test:
 import numpy as np
 import pytest
 
-from pmtk import precision
 from pmtk.cli import main
-from pmtk.gradcheck import (FD_STEP, FAMILIES, central_diff, check_scalar_fn,
-                            max_rel_err, noise_floor_coeff, run_gradient_suite,
-                            tolerance)
+from pmtk.gradcheck import (FD_STEP, FAMILIES, _check_leaves, central_diff,
+                            check_scalar_fn, max_rel_err, run_gradient_suite)
+from pmtk.precision import DEFAULT, GRADCHECK
 from pmtk.tensor import Tensor, linear, mul, record_op, tsum
+
+# check_scalar_fn builds its leaves in the default dtype
+TOL, _ = GRADCHECK[DEFAULT]
 
 
 def test_finite_diff_on_quadratic_is_exact_to_truncation():
@@ -67,7 +69,7 @@ def test_wrong_adjoint_is_flagged():
 
     x = np.random.default_rng(0).uniform(0.5, 1.5, (3, 4))
     err = check_scalar_fn(lambda ts: tsum(mul(doubled_adjoint(ts[0]), ts[0])), [x])
-    assert err >= 100 * tolerance()
+    assert err >= 100 * TOL
 
 
 def test_max_rel_err_ignores_jointly_tiny_entries():
@@ -87,16 +89,20 @@ def test_check_scalar_fn_small_on_correct_gradient():
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     err = check_scalar_fn(lambda ts: tsum(linear(ts[0], ts[1])), [a, b])
-    assert err < tolerance()
+    assert err < TOL
 
 
-def test_tolerances_depend_on_precision_mode():
-    with precision.use("f64"):
-        assert tolerance() == 1e-6
-        assert noise_floor_coeff() == 1e-4
-    with precision.use("f32"):
-        assert tolerance() == 1e-3
-        assert noise_floor_coeff() == 1e-3
+def test_tolerances_are_keyed_by_the_leaves_dtype():
+    # (tolerance, noise-floor coefficient)
+    assert GRADCHECK[np.dtype(np.float64)] == (1e-6, 1e-4)
+    assert GRADCHECK[np.dtype(np.float32)] == (1e-3, 1e-3)
+    assert DEFAULT == np.float32
+    # 64-bit leaves give a 64-bit tape, which meets the 64-bit tolerance
+    rng = np.random.default_rng(0)
+    a = Tensor(rng.normal(size=(3, 4)), np.float64)
+    b = Tensor(rng.normal(size=(4, 2)), np.float64)
+    err = _check_leaves(lambda: tsum(linear(a, b)), [a, b])
+    assert err < GRADCHECK[np.dtype(np.float64)][0]
 
 
 def test_suite_returns_one_row_per_requested_family():
@@ -105,7 +111,7 @@ def test_suite_returns_one_row_per_requested_family():
     rows = run_gradient_suite(seeds=(0,))
     assert [name for name, _ in rows] == list(FAMILIES)
     for name, err in rows:
-        assert err <= tolerance(), f"{name}: max_rel_err {err:.3e}"
+        assert err <= TOL, f"{name}: max_rel_err {err:.3e}"
 
 
 @pytest.mark.slow

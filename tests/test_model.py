@@ -1,11 +1,16 @@
 """Model assembly, loss/metric contracts, and a tiny end-to-end fit."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmtk import precision
+import pmtk
 from pmtk import tensor as T
 from pmtk.data import Sample, SynthConfig, synth_generate
 from pmtk.errors import ConfigError, DimensionError, DivergenceError
@@ -27,6 +32,8 @@ from pmtk.model import (
     train_toy,
 )
 from pmtk.serialize import load_checkpoint, restore_into, save_checkpoint
+
+from dtypes import DTYPES, cast_parameters
 
 
 def micro_model(seed=0, size=32):
@@ -234,10 +241,50 @@ def test_train_toy_raises_on_non_finite_gradient_of_finite_loss():
     samples = synth_generate(SynthConfig(seed=1, count=16, size=32))
     cfg = TrainConfig(epochs=2, batch_size=8, lr=1.0, seed=1, size=32,
                       plan=MICRO_PLAN)
-    with precision.use("f32"), pytest.raises(
+    with pytest.raises(
             DivergenceError,
             match=r"non-finite gradient at epoch 1, batch 1: vim_branch\.embeds\.0\.W_proj "):
         train_toy(samples, [], cfg)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_dtype_follows_the_parameters(mode):
+    # one training step and one predict: every tape record, gradient and
+    # updated parameter has the parameters' dtype, although the images and
+    # the step's constants are float64
+    dtype = DTYPES[mode]
+    model = cast_parameters(micro_model(), dtype)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(0.0, 1.0, (2, 1, 32, 32))
+    target = rng.integers(0, 2, (2, 32, 32))
+    opt = T.Momentum(model.parameters(), lr=0.025)
+    with T.Tape() as tape:
+        loss, _ = total_loss(model(T.Tensor(x, dtype)), target)
+    grads = T.backward(tape, loss)
+    opt.step(grads)
+    with T.Tape() as predict_tape:
+        predict(model, x)
+    for recorded in (tape, predict_tape):
+        assert len(recorded) > 0
+        assert {out.data.dtype for _, out, _ in recorded} == {np.dtype(dtype)}
+    assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+    assert {p.data.dtype for p in model.parameters()} == {np.dtype(dtype)}
+
+
+def test_environment_does_not_set_the_dtype():
+    # no setting outside the arrays selects a dtype
+    src = str(Path(pmtk.__file__).resolve().parents[1])
+    env = dict(os.environ, PMTK_PRECISION="f64",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import numpy as np\n"
+            "from pmtk import tensor as T\n"
+            "from pmtk.model import MICRO_PLAN, PMamba\n"
+            "m = PMamba(np.random.default_rng(0), MICRO_PLAN, size=32)\n"
+            "print(T.Tensor(np.zeros(2)).data.dtype, "
+            "sorted({str(p.data.dtype) for p in m.parameters()}))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["float32", "['float32']"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pmtk import precision
 from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
 from pmtk.pmd import (
@@ -368,11 +367,10 @@ def test_pmd_apply_backward_is_gradient_of_step(mode):
     cfg = DiffusionConfig(k=k, mode=mode)
     x0 = noise_field(11, (6, 6))
     y = noise_field(12, (6, 6))
-    with precision.use("f64"):
-        x = T.Tensor(x0)
-        with T.Tape() as tape:
-            loss = T.tsum(T.mul(pmd_apply(x, k=k, mode=mode), T.Tensor(y)))
-        g = T.grad_of(T.backward(tape, loss), x)
+    x = T.Tensor(x0, np.float64)
+    with T.Tape() as tape:
+        loss = T.tsum(T.mul(pmd_apply(x, k=k, mode=mode), T.Tensor(y, np.float64)))
+    g = T.grad_of(T.backward(tape, loss), x)
     fd = np.empty_like(x0)
     for i in range(x0.size):
         e = np.zeros_like(x0)
@@ -393,8 +391,7 @@ def test_butterfly_equals_subband_form(mode, shape):
     tol = 1e-15 * np.abs(expect).max()
     out = pmd_step_dwt(u, DiffusionConfig(k=0.8, mode=mode))
     assert np.abs(out - expect).max() <= tol
-    with precision.use("f64"):
-        tape_out = pmd_apply(T.Tensor(u), k=0.8, mode=mode)
+    tape_out = pmd_apply(T.Tensor(u, np.float64), k=0.8, mode=mode)
     assert np.abs(tape_out.data - expect).max() <= tol
 
 

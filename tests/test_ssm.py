@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from pmtk import precision
 from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
 from pmtk.ssm import (
@@ -22,6 +21,8 @@ from pmtk.ssm import (
     vim_block,
     vim_scan_pair,
 )
+
+from dtypes import cast_parameters
 
 
 def random_scan_inputs(rng, Bn, L, D, S):
@@ -95,12 +96,11 @@ def test_scan_core_records_and_matches_numpy():
     flipped = scan_sequential(u[:, ::-1], delta[:, ::-1], A, B[:, ::-1],
                               C[:, ::-1], Dskip)[:, ::-1]
     for reverse, expect in ((False, scan_sequential(*arrays)), (True, flipped)):
-        with precision.use("f64"):
-            tensors = [T.Tensor(a) for a in arrays]
-            with T.Tape() as tape:
-                y = scan_core(*tensors, reverse=reverse)
-                loss = T.tsum(y)
-            grads = T.backward(tape, loss)
+        tensors = [T.Tensor(a, np.float64) for a in arrays]
+        with T.Tape() as tape:
+            y = scan_core(*tensors, reverse=reverse)
+            loss = T.tsum(y)
+        grads = T.backward(tape, loss)
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
         for t in tensors:
             assert np.isfinite(T.grad_of(grads, t)).all()
@@ -115,7 +115,7 @@ def test_scan_core_batch_items_do_not_interact(reverse):
     r = rng.uniform(0.5, 1.5, arrays[0].shape)
 
     def run(arrs, weight):
-        tensors = [T.Tensor(a) for a in arrs]
+        tensors = [T.Tensor(a, np.float64) for a in arrs]
         with T.Tape() as tape:
             y = scan_core(*tensors, reverse=reverse)
             loss = T.tsum(T.mul_const(y, weight))
@@ -123,17 +123,16 @@ def test_scan_core_batch_items_do_not_interact(reverse):
         return y.data, [T.grad_of(grads, t) for t in tensors]
 
     per_sample = (0, 1, 3, 4)          # u, delta, B, C; A and Dskip are shared
-    with precision.use("f64"):
-        y, grads = run(arrays, r)
-        shared = [np.zeros_like(arrays[2]), np.zeros_like(arrays[5])]
-        for b in range(3):
-            one = [a[b:b + 1] if i in per_sample else a for i, a in enumerate(arrays)]
-            y1, g1 = run(one, r[b:b + 1])
-            np.testing.assert_allclose(y[b:b + 1], y1, rtol=0, atol=1e-12)
-            for i in per_sample:
-                np.testing.assert_allclose(grads[i][b:b + 1], g1[i], rtol=0, atol=1e-12)
-            shared[0] += g1[2]
-            shared[1] += g1[5]
+    y, grads = run(arrays, r)
+    shared = [np.zeros_like(arrays[2]), np.zeros_like(arrays[5])]
+    for b in range(3):
+        one = [a[b:b + 1] if i in per_sample else a for i, a in enumerate(arrays)]
+        y1, g1 = run(one, r[b:b + 1])
+        np.testing.assert_allclose(y[b:b + 1], y1, rtol=0, atol=1e-12)
+        for i in per_sample:
+            np.testing.assert_allclose(grads[i][b:b + 1], g1[i], rtol=0, atol=1e-12)
+        shared[0] += g1[2]
+        shared[1] += g1[5]
     np.testing.assert_allclose(grads[2], shared[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(grads[5], shared[1], rtol=0, atol=1e-12)
 
@@ -194,11 +193,10 @@ def test_scan_pair_on_palindrome_is_palindromic():
     # same parameters both directions + mirror-symmetric input means the
     # two scans are mirror images, so their sum must be as well
     rng = np.random.default_rng(6)
-    with precision.use("f64"):
-        p = SsmParams(rng, d=2, s=3)
-        half = rng.standard_normal((1, 4, 2))
-        u = T.Tensor(np.concatenate([half, half[:, ::-1]], axis=1))
-        out = vim_scan_pair(u, p, p).data
+    p = cast_parameters(SsmParams(rng, d=2, s=3), np.float64)
+    half = rng.standard_normal((1, 4, 2))
+    u = T.Tensor(np.concatenate([half, half[:, ::-1]], axis=1), np.float64)
+    out = vim_scan_pair(u, p, p).data
     np.testing.assert_allclose(out, out[:, ::-1], atol=1e-12)
 
 
@@ -206,25 +204,25 @@ def test_scan_pair_matches_flip_scan_flip():
     # the reversed scan must equal scanning the flipped sequence and flipping
     # the output back, in value and in every gradient
     rng = np.random.default_rng(8)
-    with precision.use("f64"):
-        pf, pb = SsmParams(rng, d=3, s=2), SsmParams(rng, d=3, s=2)
-        u_np = rng.standard_normal((2, 7, 3))
-        r = rng.uniform(0.5, 1.5, u_np.shape)
-        params = pf.parameters() + pb.parameters()
+    pf = cast_parameters(SsmParams(rng, d=3, s=2), np.float64)
+    pb = cast_parameters(SsmParams(rng, d=3, s=2), np.float64)
+    u_np = rng.standard_normal((2, 7, 3))
+    r = rng.uniform(0.5, 1.5, u_np.shape)
+    params = pf.parameters() + pb.parameters()
 
-        u = T.Tensor(u_np)
-        with T.Tape() as tape:
-            out = vim_scan_pair(u, pf, pb)
-            loss = T.tsum(T.mul_const(out, r))
-        grads = T.backward(tape, loss)
+    u = T.Tensor(u_np, np.float64)
+    with T.Tape() as tape:
+        out = vim_scan_pair(u, pf, pb)
+        loss = T.tsum(T.mul_const(out, r))
+    grads = T.backward(tape, loss)
 
-        # reference: <r, flip(scan(flip(u)))> = <flip(r), scan(flip(u))>
-        u_ref, u_flip = T.Tensor(u_np), T.Tensor(u_np[:, ::-1])
-        with T.Tape() as tape:
-            yf = selective_scan(u_ref, pf)
-            yb = selective_scan(u_flip, pb)
-            loss = T.add(T.tsum(T.mul_const(yf, r)), T.tsum(T.mul_const(yb, r[:, ::-1])))
-        ref = T.backward(tape, loss)
+    # reference: <r, flip(scan(flip(u)))> = <flip(r), scan(flip(u))>
+    u_ref, u_flip = T.Tensor(u_np, np.float64), T.Tensor(u_np[:, ::-1], np.float64)
+    with T.Tape() as tape:
+        yf = selective_scan(u_ref, pf)
+        yb = selective_scan(u_flip, pb)
+        loss = T.add(T.tsum(T.mul_const(yf, r)), T.tsum(T.mul_const(yb, r[:, ::-1])))
+    ref = T.backward(tape, loss)
 
     np.testing.assert_allclose(out.data, yf.data + yb.data[:, ::-1], rtol=0, atol=1e-12)
     gu_ref = T.grad_of(ref, u_ref) + T.grad_of(ref, u_flip)[:, ::-1]
@@ -269,12 +267,11 @@ def test_tokens_to_map_checks_count():
 
 def test_unit_patch_identity_projection_equals_token_view():
     rng = np.random.default_rng(9)
-    with precision.use("f64"):
-        x = T.Tensor(rng.standard_normal((1, 3, 4, 4)))
-        W = T.Tensor(np.eye(3))
-        E = T.Tensor(np.zeros((16, 3)))
-        got = patch_embed(x, 1, W, E)
-        tokens, _ = map_to_tokens(x)
+    x = T.Tensor(rng.standard_normal((1, 3, 4, 4)), np.float64)
+    W = T.Tensor(np.eye(3), np.float64)
+    E = T.Tensor(np.zeros((16, 3)), np.float64)
+    got = patch_embed(x, 1, W, E)
+    tokens, _ = map_to_tokens(x)
     np.testing.assert_allclose(got.data, tokens.data, atol=1e-14)
 
 

@@ -1,8 +1,9 @@
 """Tape mechanics and hand-checkable op cases.
 
 Gradient formula coverage lives in the finite-difference suite; here the
-focus is bookkeeping: recording, accumulation, aliasing, precision modes
-and the couple of ops whose values are easy to verify by hand.
+focus is bookkeeping: recording, accumulation, aliasing, dtypes (an op
+computes in the dtype of its inputs; a Tensor is float32 unless given a
+dtype) and the couple of ops whose values are easy to verify by hand.
 """
 
 import math
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from pmtk import model as M
-from pmtk import precision
 from pmtk import tensor as T
 from pmtk.errors import DataError, DimensionError, DivergenceError
+
+from dtypes import DTYPES, cast_parameters
 
 
 def scalar_graph(a, b):
@@ -138,23 +140,23 @@ def reference_backward(tape, loss):
     return grads
 
 
-def micro_training_tape():
+def micro_training_tape(dtype=np.float32):
     """Tape and loss of one micro-model training step at batch 8, 32x32."""
     rng = np.random.default_rng(0)
-    model = M.PMamba(rng, M.MICRO_PLAN, size=32)
+    model = cast_parameters(M.PMamba(rng, M.MICRO_PLAN, size=32), dtype)
     x = rng.uniform(0.0, 1.0, (8, 1, 32, 32))
     target = (rng.uniform(size=(8, 32, 32)) > 0.5).astype(np.int64)
     with T.Tape() as tape:
-        loss, _ = M.total_loss(model(T.Tensor(x)), target)
+        loss, _ = M.total_loss(model(T.Tensor(x, dtype)), target)
     return tape, loss
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_backward_equals_copy_everything_sweep_bit_for_bit(mode):
-    with precision.use(mode):
-        tape, loss = micro_training_tape()
-        ref = reference_backward(tape, loss)
-        grads = T.backward(tape, loss)
+    tape, loss = micro_training_tape(DTYPES[mode])
+    assert loss.data.dtype == DTYPES[mode]
+    ref = reference_backward(tape, loss)
+    grads = T.backward(tape, loss)
     produced = {output for _, output, _ in tape}
     leaves = {t for t in ref if t not in produced}
     assert set(grads) == leaves
@@ -204,9 +206,8 @@ def test_linear_matches_einsum(with_bias):
     x = rng.standard_normal((2, 3, 4))
     w = rng.standard_normal((4, 5))
     b = rng.standard_normal(5)
-    with precision.use("f64"):
-        args = [T.Tensor(x), T.Tensor(w)] + ([T.Tensor(b)] if with_bias else [])
-        out = T.linear(*args)
+    args = [T.Tensor(a, np.float64) for a in ([x, w, b] if with_bias else [x, w])]
+    out = T.linear(*args)
     expect = np.einsum("bli,io->blo", x, w) + (b if with_bias else 0.0)
     assert out.shape == (2, 3, 5)
     np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
@@ -221,7 +222,7 @@ def test_linear_shapes_checked():
 
 
 def test_finite_check_names_first_non_finite_record():
-    with precision.use("f32"), np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         x = T.Tensor(np.full(3, 1e4))
         with T.Tape():
             assert np.isinf(T.exp(T.scale(x, 1.0)).data).all()
@@ -274,8 +275,7 @@ def test_conv2d_matches_per_pixel_reference(k, stride, pad):
     rng = np.random.default_rng(10 * k + 2 * stride + pad)
     x = rng.standard_normal((2, 3, 5, 7))
     w = rng.standard_normal((4, 3, k, k))
-    with precision.use("f64"):
-        out = T.conv2d(T.Tensor(x), T.Tensor(w), stride=stride, pad=pad)
+    out = T.conv2d(T.Tensor(x, np.float64), T.Tensor(w, np.float64), stride=stride, pad=pad)
     np.testing.assert_allclose(out.data, conv2d_reference(x, w, stride, pad),
                                rtol=0, atol=1e-12)
 
@@ -293,12 +293,13 @@ def single_record(op, *args):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_zero_border_equals_padded_input_bit_for_bit(stride, mode):
     rng = np.random.default_rng(20 + stride)
-    with precision.use(mode):
-        x = T.Tensor(rng.standard_normal((2, 3, 6, 7)))
-        w = T.Tensor(rng.standard_normal((4, 3, 3, 3)))
-        xp = T.Tensor(np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1))))
-        out, bwd = single_record(T.conv2d, x, w, stride, 1)
-        ref, ref_bwd = single_record(T.conv2d, xp, w, stride, 0)
+    dtype = DTYPES[mode]
+    x = T.Tensor(rng.standard_normal((2, 3, 6, 7)), dtype)
+    w = T.Tensor(rng.standard_normal((4, 3, 3, 3)), dtype)
+    xp = T.Tensor(np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1))), dtype)
+    out, bwd = single_record(T.conv2d, x, w, stride, 1)
+    ref, ref_bwd = single_record(T.conv2d, xp, w, stride, 0)
+    assert out.data.dtype == dtype
     np.testing.assert_array_equal(out.data, ref.data)
     g = rng.standard_normal(out.shape).astype(out.data.dtype)
     (gx, gw), (gxp, gw_ref) = bwd(g), ref_bwd(g)
@@ -310,11 +311,12 @@ def test_conv2d_zero_border_equals_padded_input_bit_for_bit(stride, mode):
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_depthwise_conv1d_equals_three_taps_on_padded_input(mode):
     rng = np.random.default_rng(23)
-    with precision.use(mode):
-        x = T.Tensor(rng.standard_normal((2, 5, 4)))
-        w = T.Tensor(rng.standard_normal((3, 4)))
-        b = T.Tensor(rng.standard_normal(4))
-        out, bwd = single_record(T.depthwise_conv1d, x, w, b)
+    dtype = DTYPES[mode]
+    x = T.Tensor(rng.standard_normal((2, 5, 4)), dtype)
+    w = T.Tensor(rng.standard_normal((3, 4)), dtype)
+    b = T.Tensor(rng.standard_normal(4), dtype)
+    out, bwd = single_record(T.depthwise_conv1d, x, w, b)
+    assert out.data.dtype == dtype
     L = x.shape[1]
     xp = np.pad(x.data, ((0, 0), (1, 1), (0, 0)))
     taps = [xp[:, i:i + L] for i in range(3)]
@@ -328,12 +330,30 @@ def test_depthwise_conv1d_equals_three_taps_on_padded_input(mode):
 @pytest.mark.parametrize("mode, rtol", [("f32", 1e-6), ("f64", 1e-15)])
 def test_softplus_matches_logaddexp_without_overflow(mode, rtol):
     x = np.array([-1e4, -100.0, -30.0, 0.0, 30.0, 100.0, 1e4])
-    with precision.use(mode), np.errstate(over="raise", invalid="raise", divide="raise"):
-        xt = T.Tensor(x)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        xt = T.Tensor(x, DTYPES[mode])
         out = T.softplus(xt)
         expect = np.logaddexp(0.0, xt.data)
     assert out.data.dtype == xt.data.dtype
     np.testing.assert_allclose(out.data, expect, rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("mode, rtol", [("f32", 1e-6), ("f64", 1e-14)])
+def test_sigmoid_of_silu_and_softplus_does_not_overflow(mode, rtol):
+    # e^-x overflows at x = -100 in f32 and at x = -1000 in f64; the sigmoid
+    # is then exactly 0, and numpy must not warn (a warning fails the test)
+    dtype = DTYPES[mode]
+    x = T.Tensor([-1000.0, -100.0, -10.0, 0.0, 10.0, 100.0, 1000.0], dtype)
+    silu, silu_bwd = single_record(T.silu, x)
+    _, softplus_bwd = single_record(T.softplus, x)
+    g = np.ones_like(x.data)
+    xw = x.data.astype(np.float64)
+    sig = np.exp(-np.logaddexp(0.0, -xw))
+    for got, want in ((silu.data, xw * sig),
+                      (silu_bwd(g)[0], sig * (1.0 + xw * (1.0 - sig))),
+                      (softplus_bwd(g)[0], sig)):
+        assert got.dtype == dtype
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=1e-30)
 
 
 def test_norm_affine_standardizes():
@@ -375,19 +395,18 @@ def standardize_reference(x, gamma, beta, axes, channel_axis, g):
 @pytest.mark.parametrize("op", ["norm_affine", "token_norm"])
 def test_norm_matches_mean_var_reference_bit_for_bit(op, mode):
     rng = np.random.default_rng(30)
-    with precision.use(mode):
-        x = T.Tensor(rng.uniform(-2.0, 3.0, (3, 5, 6, 7)))
-        C = 5 if op == "norm_affine" else 7
-        gamma = T.Tensor(rng.standard_normal(C))
-        beta = T.Tensor(rng.standard_normal(C))
+    dtype = DTYPES[mode]
+    x = T.Tensor(rng.uniform(-2.0, 3.0, (3, 5, 6, 7)), dtype)
+    C = 5 if op == "norm_affine" else 7
+    gamma = T.Tensor(rng.standard_normal(C), dtype)
+    beta = T.Tensor(rng.standard_normal(C), dtype)
     if op == "norm_affine":
         x.data[:, 2] = 1.5          # a constant channel
         axes, channel_axis = (0, 2, 3), 1
     else:
         x.data[1, 3, 4] = -0.75     # a constant token
         axes, channel_axis = (3,), 3
-    with precision.use(mode):
-        out, bwd = single_record(getattr(T, op), x, gamma, beta)
+    out, bwd = single_record(getattr(T, op), x, gamma, beta)
     g = rng.standard_normal(out.shape).astype(out.data.dtype)
     ref, ref_grads = standardize_reference(x.data, gamma.data, beta.data,
                                            axes, channel_axis, g)
@@ -429,16 +448,14 @@ def upsample_reference(x, f):
 @pytest.mark.parametrize("factor", [2, 4, 8])
 def test_bilinear_upsample_matches_per_pixel_reference(factor):
     x = np.random.default_rng(factor).standard_normal((2, 3, 3, 5))
-    with precision.use("f64"):
-        out = T.bilinear_upsample(T.Tensor(x), factor)
+    out = T.bilinear_upsample(T.Tensor(x, np.float64), factor)
     np.testing.assert_allclose(out.data, upsample_reference(x, factor), rtol=0, atol=1e-12)
 
 
 def test_softmax_cross_entropy_uniform_logits():
-    with precision.use("f64"):
-        logits = T.Tensor(np.zeros((2, 3, 2, 2)))
-        target = np.zeros((2, 2, 2), dtype=np.int64)
-        loss = T.softmax_cross_entropy(logits, target)
+    logits = T.Tensor(np.zeros((2, 3, 2, 2)), np.float64)
+    target = np.zeros((2, 2, 2), dtype=np.int64)
+    loss = T.softmax_cross_entropy(logits, target)
     np.testing.assert_allclose(loss.item(), np.log(3.0), rtol=1e-12)
 
 
@@ -459,10 +476,10 @@ def softmax_cross_entropy_reference(ld, t, g):
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 def test_softmax_cross_entropy_matches_meshgrid_gather_bit_for_bit(mode):
     rng = np.random.default_rng(31)
-    with precision.use(mode):
-        logits = T.Tensor(3.0 * rng.standard_normal((3, 4, 5, 6)))
-        target = rng.integers(0, 4, (3, 5, 6))
-        loss, bwd = single_record(T.softmax_cross_entropy, logits, target)
+    logits = T.Tensor(3.0 * rng.standard_normal((3, 4, 5, 6)), DTYPES[mode])
+    target = rng.integers(0, 4, (3, 5, 6))
+    loss, bwd = single_record(T.softmax_cross_entropy, logits, target)
+    assert loss.data.dtype == DTYPES[mode]
     ref_loss, ref_grad = softmax_cross_entropy_reference(logits.data, target, 0.5)
     assert loss.data.tobytes() == np.asarray(ref_loss).tobytes()
     (grad,) = bwd(np.asarray(0.5))
@@ -477,11 +494,17 @@ def test_softmax_cross_entropy_rejects_bad_labels():
         T.softmax_cross_entropy(logits, bad)
 
 
-def test_precision_mode_controls_dtype():
-    with precision.use("f32"):
-        assert T.Tensor([1.0]).data.dtype == np.float32
-    with precision.use("f64"):
-        assert T.Tensor([1.0]).data.dtype == np.float64
+def test_tensor_dtype_is_explicit_or_float32():
+    # the input's own dtype does not carry over; only an explicit one does
+    assert T.Tensor([1.0]).data.dtype == np.float32
+    assert T.Tensor(np.ones(2, np.float64)).data.dtype == np.float32
+    assert T.Tensor(np.ones(2, np.float32), np.float64).data.dtype == np.float64
+    assert T.Parameter(np.ones(2)).data.dtype == np.float32
+    # an op's output keeps the dtype it was computed in
+    for dtype in (np.float32, np.float64):
+        x = T.Tensor([1.0, -2.0], dtype)
+        assert T.relu(T.scale(x, 3.0)).data.dtype == dtype
+        assert T.record_op((x,), x.data.astype(np.float64), lambda g: (g,)).data.dtype == np.float64
 
 
 def test_momentum_step_matches_hand_update():
