@@ -513,7 +513,10 @@ def model_profile(model: PMamba) -> dict:
     encoders and the primary head, without the three auxiliary heads, so the
     ``pmtk bench`` model CSV reports that inference path. ``forward_ms`` is
     the median of three timed calls after one warm-up; the median, because
-    a single slow call on a busy host would dominate a mean.
+    a single slow call on a busy host would dominate a mean. ``peak_bytes``
+    is the traced peak above the memory in use when that call starts; a
+    caller's own ``tracemalloc`` session keeps running, and its earlier peak
+    does not count.
     """
     x = np.zeros((1, IN_CHANNELS, model.size, model.size))
     predict(model, x)  # warm up
@@ -522,12 +525,19 @@ def model_profile(model: PMamba) -> dict:
         t0 = time.perf_counter()
         predict(model, x)
         times.append((time.perf_counter() - t0) * 1e3)
-    tracemalloc.start()
-    predict(model, x)
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        predict(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     return {
         "params": model.parameter_count(),
         "forward_ms": float(np.median(times)),
-        "peak_bytes": int(peak),
+        "peak_bytes": int(peak - base),
     }

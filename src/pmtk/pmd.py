@@ -287,11 +287,17 @@ def sobel_magnitude(x: np.ndarray) -> np.ndarray:
     """3x3 Sobel gradient magnitude per channel, symmetric boundary."""
     kx = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=x.dtype)
     ky = kx.T
-    pad = [(0, 0)] * (x.ndim - 2) + [(1, 1), (1, 1)]
-    xp = np.pad(x, pad, mode="symmetric")
+    H, W = x.shape[-2], x.shape[-1]
+    # the one-pixel symmetric border (each edge repeated) is written by hand:
+    # numpy's pad function runs ~45 us of Python per call
+    xp = np.empty(x.shape[:-2] + (H + 2, W + 2), dtype=x.dtype)
+    xp[..., 1:-1, 1:-1] = x
+    xp[..., 0, 1:-1] = x[..., 0, :]
+    xp[..., -1, 1:-1] = x[..., -1, :]
+    xp[..., 0] = xp[..., 1]
+    xp[..., -1] = xp[..., -2]
     gx = np.zeros_like(x)
     gy = np.zeros_like(x)
-    H, W = x.shape[-2], x.shape[-1]
     for i in range(3):
         for j in range(3):
             patch = xp[..., i:i + H, j:j + W]

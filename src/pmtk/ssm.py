@@ -17,7 +17,8 @@ Layouts: the kernels take and return batch-major [Bn, L, D] sequences and
 [Bn, L, S] B and C, like every tape primitive. Inside, the state H, the
 decays abar and the adjoint G are time-major [L, Bn, S, D] in memory as well
 as in shape, so each step of a loop reads and writes Bn*S*D contiguous
-values. Tape records store H and abar in that layout.
+values. Tape records store H in that layout; the backward rebuilds abar
+from delta, which costs two elementwise passes and no loop.
 
 ``vim_block`` is the residual token mixer built on two scan directions:
 norm -> parallel input/gate projections -> short depthwise conv + SiLU ->
@@ -47,17 +48,26 @@ def _time_major(*arrays):
     return [np.ascontiguousarray(a.swapaxes(0, 1)) for a in arrays]
 
 
+def _decays(dt, A):
+    """abar = exp(delta*A), time-major [L, Bn, S, D], from the time-major delta.
+
+    A unit-stride A.T, and exp in place: each fresh [L,Bn,S,D] buffer costs
+    page faults comparable to the arithmetic on it.
+    """
+    abar = dt[:, :, None, :] * np.ascontiguousarray(A.T)
+    np.exp(abar, out=abar)
+    return abar
+
+
 def scan_forward_np(u, delta, A, B, C, Dskip):
     """Scan over batch-major [Bn, L, D] inputs; loops only over time.
 
-    Returns (y, H, abar): batch-major y [Bn, L, D], and the time-major
-    states H and decays abar, both [L, Bn, S, D], which the backward reads.
+    Returns (y, H): batch-major y [Bn, L, D] and the time-major states H
+    [L, Bn, S, D], which the backward reads. The decays abar are not
+    returned: the backward rebuilds them from delta, without a loop.
     """
     ut, dt, Bt, Ct = _time_major(u, delta, B, C)
-    # a unit-stride A.T, and exp in place: each fresh [L,Bn,S,D] buffer
-    # costs page faults comparable to the arithmetic on it
-    abar = dt[:, :, None, :] * np.ascontiguousarray(A.T)
-    np.exp(abar, out=abar)
+    abar = _decays(dt, A)
     H = Bt[..., None] * (dt * ut)[:, :, None, :]             # injections, then states
     hs, decay = list(H), list(abar)
     tmp = np.empty_like(hs[0])
@@ -65,18 +75,21 @@ def scan_forward_np(u, delta, A, B, C, Dskip):
         np.multiply(decay[t], hs[t - 1], out=tmp)
         hs[t] += tmp
     y = (Ct[:, :, None, :] @ H)[:, :, 0].swapaxes(0, 1) + Dskip * u
-    return y, H, abar
+    return y, H
 
 
-def scan_backward_np(gy, u, delta, A, B, C, Dskip, H, abar):
+def scan_backward_np(gy, u, delta, A, B, C, Dskip, H):
     """Adjoint of scan_forward_np; returns gradients for all six inputs.
 
-    Arguments and gradients are batch-major like the forward's; H and abar
-    are its time-major [L, Bn, S, D] states. G_t = dloss/dh_t obeys
-    G_t = gy_t C_t + abar_{t+1} G_{t+1}; only that recurrence is looped, and
-    every gradient is then one batched contraction of G with H and abar.
+    Arguments and gradients are batch-major like the forward's; H is its
+    time-major [L, Bn, S, D] states, and the decays abar are rebuilt from
+    delta with the forward's own operations, so they match its bit for bit.
+    G_t = dloss/dh_t obeys G_t = gy_t C_t + abar_{t+1} G_{t+1}; only that
+    recurrence is looped, and every gradient is then one batched contraction
+    of G with H and abar.
     """
     gyt, ut, dt, Bt, Ct = _time_major(gy, u, delta, B, C)
+    abar = _decays(dt, A)
     G = Ct[..., None] * gyt[:, :, None, :]                     # [L,Bn,S,D]
     gs, decay = list(G), list(abar)
     tmp = np.empty_like(gs[0])
@@ -122,13 +135,13 @@ def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
     kernels run on reversed views, so no flipped copy is taped.
     """
     seq = slice(None, None, -1 if reverse else 1)
-    y, H, abar = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
-                                 B.data[:, seq], C.data[:, seq], Dskip.data)
+    y, H = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
+                           B.data[:, seq], C.data[:, seq], Dskip.data)
 
     def bwd(gy):
         gu, gdelta, gA, gB, gC, gDskip = scan_backward_np(
             gy[:, seq], u.data[:, seq], delta.data[:, seq], A.data,
-            B.data[:, seq], C.data[:, seq], Dskip.data, H, abar)
+            B.data[:, seq], C.data[:, seq], Dskip.data, H)
         return gu[:, seq], gdelta[:, seq], gA, gB[:, seq], gC[:, seq], gDskip
 
     return T.record_op((u, delta, A, B, C, Dskip), y[:, seq], bwd)

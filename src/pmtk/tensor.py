@@ -357,12 +357,59 @@ def _conv_out_extent(n: int, k: int, stride: int, pad: int) -> int:
     return (n + 2 * pad - k) // stride + 1
 
 
+def _im2col(xd: np.ndarray, k: int, stride: int, pad: int, Ho: int, Wo: int) -> np.ndarray:
+    """im2col of [B,C,H,W] ``xd``, channel-major: cols[b, (c, i, j), (ho, wo)]
+    is the input pixel that kernel tap (i, j) of channel c meets at output
+    pixel (ho, wo). One copy from a strided view of the zero-padded input; a
+    1x1 stride-1 kernel gets the padded input itself, [B, C, Ho*Wo]."""
+    B, C, H, W = xd.shape
+    # the zero border is written by hand: numpy's pad function runs ~45 us of
+    # Python per call at these shapes, several times the copy itself
+    if pad:
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=xd.dtype)
+        xp[:, :, pad:pad + H, pad:pad + W] = xd
+    else:
+        xp = xd
+    if k == 1 and stride == 1:
+        return xp.reshape(B, C, Ho * Wo)
+    sb, sc, sh, sw = xp.strides
+    taps = np.lib.stride_tricks.as_strided(
+        xp, (B, C, k, k, Ho, Wo), (sb, sc, sh, sw, stride * sh, stride * sw), writeable=False)
+    return taps.reshape(B, C * k * k, Ho * Wo)
+
+
+def _col2im(gcols: np.ndarray, k: int, stride: int, Ho: int, Wo: int, shape: tuple) -> np.ndarray:
+    """Adjoint of ``_im2col`` for k > 1 or stride 2: sums each tap's [B,C,Ho,Wo]
+    slab of ``gcols`` into the padded input extent ``shape``.
+
+    Each tap is copied into its own zeroed plane, then the planes are added
+    into a zeroed accumulator in tap order. A strided ``+=`` per tap, whose
+    inner loop runs over only Wo elements, costs about twice as much. The
+    sum is that loop's bit for bit: every pixel receives the same additions
+    in the same order, and an entry a tap does not touch adds +0.0, which
+    changes no value an accumulator starting at +0.0 can hold (it never holds
+    -0.0).
+    """
+    planes = np.zeros((k, k) + shape, dtype=gcols.dtype)
+    si, sj, sb, sc, sh, sw = planes.strides
+    # view[b, c, i, j, ho, wo] is planes[i, j, b, c, i + stride*ho, j + stride*wo]
+    view = np.lib.stride_tricks.as_strided(
+        planes, (shape[0], shape[1], k, k, Ho, Wo),
+        (sb, sc, si + sh, sj + sw, stride * sh, stride * sw))
+    view[...] = gcols.reshape(view.shape)
+    gxp = np.zeros(shape, dtype=gcols.dtype)
+    for plane in planes.reshape((k * k,) + shape):
+        gxp += plane
+    return gxp
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     """Cross-correlation (no kernel flip) of [B,C,H,W] input with [Cout,C,k,k].
 
     Lowered to one matmul per image, wmat [Cout, C*k*k] @ cols [C*k*k, Ho*Wo],
-    whose product is already the [Cout, Ho, Wo] output map. A 1x1 stride-1
-    kernel uses the (padded) input itself as cols.
+    whose product is already the [Cout, Ho, Wo] output map (``_im2col``). The
+    record keeps only the input: the backward rebuilds cols, 9x the input for
+    a 3x3 kernel, with the forward's own operations.
     """
     if stride not in (1, 2):
         raise DimensionError(f"conv2d: stride must be 1 or 2, got {stride}")
@@ -381,29 +428,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
         raise DimensionError(f"conv2d: kernel {k}x{k} larger than padded input {H}x{W} (pad {pad})")
     Ho = _conv_out_extent(H, k, stride, pad)
     Wo = _conv_out_extent(W, k, stride, pad)
-
-    # the zero border is written by hand: numpy's pad function runs ~45 us of
-    # Python per call at these shapes, several times the copy itself
-    if pad:
-        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=xd.dtype)
-        xp[:, :, pad:pad + H, pad:pad + W] = xd
-    else:
-        xp = xd
     wmat = w.data.reshape(Cout, C * k * k)
-    # im2col, channel-major: cols[b, (c, i, j), (ho, wo)] is the input pixel
-    # that kernel tap (i, j) of channel c meets at output pixel (ho, wo)
-    if k == 1 and stride == 1:
-        cols = xp.reshape(B, C, Ho * Wo)
-    else:
-        cols = np.empty((B, C, k, k, Ho, Wo), dtype=xp.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride]
-        cols = cols.reshape(B, C * k * k, Ho * Wo)
-    out = (wmat @ cols).reshape(B, Cout, Ho, Wo)
+    out = (wmat @ _im2col(xd, k, stride, pad, Ho, Wo)).reshape(B, Cout, Ho, Wo)
 
     def bwd(g):
         g3 = g.reshape(B, Cout, Ho * Wo)
+        cols = _im2col(xd, k, stride, pad, Ho, Wo)
         # gw contracts over batch and pixels. Summing per-image products
         # makes a [B, Cout, C*k*k] intermediate, tensordot a transposed copy
         # of cols, [B, C*k*k, Ho*Wo]; take the smaller
@@ -411,15 +441,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
             gw = (g3 @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         else:
             gw = np.tensordot(g3, cols, ((0, 2), (0, 2))).reshape(w.shape)
+        del cols                           # before gcols, its equal in size
         gcols = wmat.T @ g3
+        padded = (B, C, H + 2 * pad, W + 2 * pad)
         if k == 1 and stride == 1:
-            gxp = gcols.reshape(xp.shape)
+            gxp = gcols.reshape(padded)
         else:
-            gcols = gcols.reshape(B, C, k, k, Ho, Wo)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i:i + stride * Ho:stride, j:j + stride * Wo:stride] += gcols[:, :, i, j]
+            gxp = _col2im(gcols, k, stride, Ho, Wo, padded)
         gx = gxp[:, :, pad:pad + H, pad:pad + W] if pad else gxp
         return gx, gw
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,22 @@ def test_model_profile_fields():
     assert prof["params"] == model.parameter_count()
     assert prof["forward_ms"] > 0
     assert prof["peak_bytes"] > 0
+
+
+def test_model_profile_inside_a_callers_tracemalloc_session():
+    # the caller's earlier 8 MB peak is not predict's, and its session
+    # must still be running afterwards
+    model = micro_model()
+    alone = model_profile(model)["peak_bytes"]
+    tracemalloc.start()
+    try:
+        big = np.ones(1 << 20)  # 8 MB
+        del big
+        inside = model_profile(model)["peak_bytes"]
+        assert tracemalloc.is_tracing()
+    finally:
+        tracemalloc.stop()
+    assert abs(inside - alone) < 0.1 * alone
 
 
 # ---------------------------------------------------------------------------

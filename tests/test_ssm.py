@@ -13,6 +13,7 @@ from pmtk.ssm import (
     map_to_tokens,
     patch_embed,
     scan_complexity_probe,
+    scan_backward_np,
     scan_core,
     scan_forward_np,
     scan_sequential,
@@ -22,7 +23,8 @@ from pmtk.ssm import (
     vim_scan_pair,
 )
 
-from dtypes import cast_parameters
+from dtypes import DTYPES, cast_parameters
+from records import RECORD_OVERHEAD, relu_like_gradient, retained_bytes
 
 
 def random_scan_inputs(rng, Bn, L, D, S):
@@ -135,6 +137,68 @@ def test_scan_core_batch_items_do_not_interact(reverse):
         shared[1] += g1[5]
     np.testing.assert_allclose(grads[2], shared[0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(grads[5], shared[1], rtol=0, atol=1e-12)
+
+
+def scan_kept_decays(gy, u, delta, A, B, C, Dskip):
+    """The scan kernels as they were when the record kept the decays abar
+    next to the states H: returns (y, H, the six input gradients)."""
+    ut, dt, Bt, Ct, gyt = [np.ascontiguousarray(a.swapaxes(0, 1)) for a in (u, delta, B, C, gy)]
+    abar = dt[:, :, None, :] * np.ascontiguousarray(A.T)
+    np.exp(abar, out=abar)
+    H = Bt[..., None] * (dt * ut)[:, :, None, :]
+    for t in range(1, len(H)):
+        H[t] += abar[t] * H[t - 1]
+    y = (Ct[:, :, None, :] @ H)[:, :, 0].swapaxes(0, 1) + Dskip * u
+    G = Ct[..., None] * gyt[:, :, None, :]
+    for t in range(len(G) - 2, -1, -1):
+        G[t] += abar[t + 1] * G[t + 1]
+    GB = (Bt[:, :, None, :] @ G)[:, :, 0]
+    gB = (G @ (dt * ut)[..., None])[..., 0].swapaxes(0, 1)
+    gC = (H @ gyt[..., None])[..., 0].swapaxes(0, 1)
+    gdA = G
+    gdA[1:] *= H[:-1]
+    gdA[1:] *= abar[1:]
+    gdA[0] = 0
+    gu = gy * Dskip + (dt * GB).swapaxes(0, 1)
+    gdelta = (np.einsum("lbsd,sd->lbd", gdA, np.ascontiguousarray(A.T)) + ut * GB).swapaxes(0, 1)
+    gA = np.einsum("lbsd,lbd->ds", gdA, dt)
+    gDskip = np.einsum("bld,bld->d", gy, u)
+    return y, H, (gu, gdelta, gA, gB, gC, gDskip)
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2)])
+def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode):
+    # the backward rebuilds abar with the forward's operations, so y, H and
+    # all six gradients keep every byte, on scan_core's reversed views too
+    rng = np.random.default_rng(sum(dims) + reverse)
+    dtype = DTYPES[mode]
+    seq = slice(None, None, -1 if reverse else 1)
+    u, delta, A, B, C, Dskip = [a.astype(dtype) for a in random_scan_inputs(rng, *dims)]
+    gy = relu_like_gradient(rng, u.shape, dtype)[:, seq]
+    args = (u[:, seq], delta[:, seq], A, B[:, seq], C[:, seq], Dskip)
+    y, H = scan_forward_np(*args)
+    with np.errstate(invalid="ignore"):
+        grads = scan_backward_np(gy, *args, H)
+        ref_y, ref_H, ref_grads = scan_kept_decays(gy, *args)
+    assert y.tobytes() == ref_y.tobytes()
+    assert H.tobytes() == ref_H.tobytes()
+    for grad, ref in zip(grads, ref_grads, strict=True):
+        assert grad.dtype == dtype
+        assert grad.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_core_record_keeps_states_not_decays(reverse):
+    # H and abar are both [L, Bn, S, D]: the record keeps H, which only the
+    # loop could rebuild, and no abar, which the backward rebuilds from delta
+    rng = np.random.default_rng(12)
+    Bn, L, D, S = 2, 64, 8, 4
+    tensors = [T.Tensor(a, np.float64) for a in random_scan_inputs(rng, Bn, L, D, S)]
+    retained, y = retained_bytes(scan_core, *tensors, reverse)
+    kept = y.data.nbytes + L * Bn * S * D * 8
+    assert kept <= retained <= kept + RECORD_OVERHEAD
 
 
 # ---------------------------------------------------------------------------
