@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .data import (SynthConfig, load_dataset, load_image, save_dataset,
-                   save_image, split, synth_generate)
+from .data import (SynthConfig, image_path, load_dataset, load_image,
+                   save_dataset, save_image, split, synth_generate)
 from .errors import ConfigError, DataError, PmtkError
 from .gradcheck import check_model_micro, run_gradient_suite
-from .model import (LOG_HEADER, PMamba, StagePlan, TrainConfig, evaluate,
-                    model_profile, train_toy)
+from .model import (LOG_HEADER, TOTAL_STRIDE, PMamba, StagePlan, TrainConfig,
+                    evaluate, model_profile, train_toy)
 from .pmd import DiffusionConfig, denoise_with_log, pmd_step_fd
 from .precision import DEFAULT, GRADCHECK
 from .ssm import loglog_slope, scan_complexity_probe
@@ -114,12 +114,22 @@ def _nonempty_split(splits: dict, name: str, data) -> list:
     return samples
 
 
+def _model_extent(samples, data) -> int:
+    """The extent of a dataset's images (load_dataset makes them square and
+    of one extent), if the model can be built for it."""
+    size = samples[0].image.shape[-1]
+    if size % TOTAL_STRIDE:
+        raise DataError(f"{image_path(data, samples[0].id)}: extent {size} is not a "
+                        f"multiple of {TOTAL_STRIDE}, which the model needs")
+    return size
+
+
 def cmd_train(args) -> int:
     splits = load_dataset(args.data)
     train = _nonempty_split(splits, "train", args.data)
     # without validation samples every logged dice would be NaN
     val = _nonempty_split(splits, "val", args.data)
-    size = train[0].image.shape[-1]
+    size = _model_extent(train, args.data)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       lr=args.lr, seed=args.seed, size=size,
                       log_path=args.output + ".log.csv")
@@ -135,9 +145,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     samples = _nonempty_split(load_dataset(args.data), args.split, args.data)
-    size = samples[0].image.shape[-1]
+    size = _model_extent(samples, args.data)
+    loaded = serialize.load_checkpoint(args.checkpoint)
     model = PMamba(np.random.default_rng(0), StagePlan(), size)
-    serialize.restore_into(model, serialize.load_checkpoint(args.checkpoint))
+    # the model predicts in the dtype the checkpoint stores: that of its
+    # first entry (load_checkpoint returns at least one), as restore_into
+    # rejects an entry whose dtype is not its parameter's
+    dtype = next(iter(loaded.values())).dtype
+    for p in model.parameters():
+        p.data = p.data.astype(dtype)
+    serialize.restore_into(model, loaded)
     rows, means = evaluate(model, samples)
     out_rows = [(sid, f"{p:.6f}", f"{r:.6f}", f"{d:.6f}") for sid, p, r, d in rows]
     out_rows.append(("mean", f"{means['precision']:.6f}", f"{means['recall']:.6f}",

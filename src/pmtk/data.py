@@ -201,14 +201,23 @@ def save_dataset(root, splits: dict) -> None:
     lines = ["id,split"]
     for split_name, samples in splits.items():
         for s in samples:
-            save_image(root / "images" / f"{s.id}.pgm", s.image)
+            save_image(image_path(root, s.id), s.image)
             save_image(root / "masks" / f"{s.id}.pgm", s.mask.astype(np.float64))
             lines.append(f"{s.id},{split_name}")
     (root / "manifest.csv").write_text("\n".join(lines) + "\n")
 
 
+def image_path(root, sample_id: str) -> Path:
+    return Path(root) / "images" / f"{sample_id}.pgm"
+
+
 def load_dataset(root) -> dict:
-    """Read a dataset directory back into per-split sample lists."""
+    """Read a dataset directory back into per-split sample lists.
+
+    Every id is listed once, every image is square and of one extent, and
+    every mask has its image's extent; otherwise FormatError (the manifest)
+    or DataError (the image or mask file) names the file at fault.
+    """
     root = Path(root)
     manifest = root / "manifest.csv"
     if not manifest.exists():
@@ -217,6 +226,8 @@ def load_dataset(root) -> dict:
     lines = manifest.read_text().splitlines()
     if not lines or lines[0].strip() != "id,split":
         raise FormatError(f"{manifest}: expected header 'id,split'")
+    first = None                       # path of the first image read
+    seen = set()
     for line in lines[1:]:
         if not line.strip():
             continue
@@ -224,8 +235,23 @@ def load_dataset(root) -> dict:
             sample_id, split_name = line.strip().split(",")
         except ValueError:
             raise FormatError(f"{manifest}: malformed line {line!r}") from None
-        image = load_image(root / "images" / f"{sample_id}.pgm")
-        mask = load_mask(root / "masks" / f"{sample_id}.pgm")
+        if sample_id in seen:
+            raise FormatError(f"{manifest}: id {sample_id!r} is listed twice")
+        seen.add(sample_id)
+        path = image_path(root, sample_id)
+        mask_path = root / "masks" / f"{sample_id}.pgm"
+        image = load_image(path)
+        mask = load_mask(mask_path)
+        _, h, w = image.shape
+        if h != w:
+            raise DataError(f"{path}: image is {w}x{h}, not square")
+        if first is None:
+            first, extent = path, h
+        elif h != extent:
+            raise DataError(f"{path}: image is {w}x{h}, but {first} is {extent}x{extent}")
+        if mask.shape != (h, w):
+            raise DataError(f"{mask_path}: mask is {mask.shape[1]}x{mask.shape[0]}, "
+                            f"its image {w}x{h}")
         splits.setdefault(split_name, []).append(Sample(sample_id, image, mask))
     if not splits:
         raise DataError(f"{root}: manifest lists no samples")

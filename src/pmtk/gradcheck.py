@@ -281,6 +281,26 @@ FAMILIES = {
 }
 
 
+class _ConditioningTape(Tape):
+    """A tape that reads each norm and relu input as it is recorded (a
+    record keeps no input array): the smallest per-channel batch variance
+    of every ``norm_affine`` input and the smallest |x| of every ``relu``
+    input."""
+
+    def __init__(self):
+        super().__init__()
+        self.variances: list[float] = []
+        self.margins: list[float] = []
+
+    def record(self, inputs, output, backward_fn) -> None:
+        op = record_name(backward_fn)
+        if op == "tensor.norm_affine":
+            self.variances.append(float(inputs[0].data.var(axis=(0, 2, 3)).min()))
+        elif op == "tensor.relu":
+            self.margins.append(float(np.abs(inputs[0].data).min()))
+        super().record(inputs, output, backward_fn)
+
+
 def check_model_micro(seed: int) -> float:
     """Worst fd error over a per-tensor subsample of full-model parameters.
 
@@ -314,8 +334,8 @@ def check_model_micro(seed: int) -> float:
     # 32-bit elements past the tolerance). Beyond that, finite differences
     # only resolve gradients at a well-conditioned point. Two hazards are
     # screened for over candidate input draws (deterministic in the seed;
-    # best draw kept), reading each norm and relu input off the records of
-    # one taped forward:
+    # best draw kept), reading each norm and relu input as one taped forward
+    # records it:
     #   * a norm channel whose batch variance lands near the normalizer's
     #     eps has curvature ~1/eps^1.5 and defeats any step size;
     #   * a relu pre-activation within ~1e-6 of zero can flip its active set
@@ -328,18 +348,9 @@ def check_model_micro(seed: int) -> float:
         actually reach at the deepest norm layers; the best draw is kept
         even when no draw clears both scales.
         """
-        variances: list[float] = []
-        margins: list[float] = []
-        with Tape() as tape:
+        with _ConditioningTape() as tape:
             total_loss(model(Tensor(xc)), target)
-        for inputs, _, backward_fn in tape:
-            op = record_name(backward_fn)
-            a = inputs[0].data
-            if op == "tensor.norm_affine":
-                variances.append(float(a.var(axis=(0, 2, 3)).min()))
-            elif op == "tensor.relu":
-                margins.append(float(np.abs(a).min()))
-        return min(min(variances) / 3e-5, min(margins) / 1e-4)
+        return min(min(tape.variances) / 3e-5, min(tape.margins) / 1e-4)
 
     target = rng.integers(0, 2, (8, 32, 32))
     best_x, best_score = None, -1.0

@@ -6,7 +6,7 @@ its payload. It is written to ``<path>.tmp``, synced and renamed onto ``path``,
 so a crash mid-write leaves an earlier checkpoint whole. Version-1 files (a
 ``PMTK`` container with a ``.manifest`` sidecar) raise ``FormatError``, and so
 does an archive that yields fewer or more entries than its
-end-of-central-directory record counts.
+end-of-central-directory record counts, or none.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ def load_checkpoint(path) -> dict:
     # the count, so a damaged comment length can hide the entries after it
     if len(names) != total:
         raise FormatError(f"{path}: {len(names)} entries read, the archive records {total}")
+    if not names:
+        # save_checkpoint writes none such, and a model has parameters
+        raise FormatError(f"{path}: the archive records no entries")
     if len(out) != len(names):
         repeated = sorted({name for name in names if names.count(name) > 1})
         raise FormatError(f"{path}: entries appear twice: {', '.join(repeated)}")
@@ -106,8 +109,9 @@ def restore_into(module, loaded: dict) -> None:
 
     Every parameter must be in the checkpoint and every checkpoint entry must
     name a parameter; either mismatch means the checkpoint is of another model.
-    Every entry is checked before any is copied, so a rejected checkpoint
-    leaves the module as it was.
+    Every entry must also have its parameter's dtype: a checkpoint loads in
+    its own dtype, never cast. Every entry is checked before any is copied,
+    so a rejected checkpoint leaves the module as it was.
     """
     named = list(module.named_parameters())
     extra = sorted(set(loaded) - {name for name, _ in named})
@@ -120,4 +124,8 @@ def restore_into(module, loaded: dict) -> None:
         if a.shape != p.data.shape:
             raise FormatError(f"{name}: shape {a.shape} does not match model {p.data.shape}")
     for name, p in named:
-        p.data[...] = loaded[name].astype(p.data.dtype)
+        if loaded[name].dtype != p.data.dtype:
+            raise FormatError(f"{name}: stored as {loaded[name].dtype}, the model's "
+                              f"parameter is {p.data.dtype}")
+    for name, p in named:
+        p.data[...] = loaded[name]

@@ -9,12 +9,20 @@ reverse of recording order is a valid topological order because the graph is
 built eagerly. The tape is the one instrumentation point: ``FiniteCheck`` is a
 tape that stops at the first non-finite record, named by ``record_name``.
 
+A record holds identities, not arrays: a key for each input and for the
+output, and its backward closure. A tensor that a record on the tape
+produced is keyed by a token; the tape holds no such tensor, so the closure
+is the only owner of the arrays its backward reads, and an op output that no
+closure reads is freed as soon as the forward drops it. A leaf (an input that
+no earlier record on the tape produced) is its own key, and the tape keeps
+it. Code that needs a record's arrays reads them in ``record``, from a
+``Tape`` subclass, as ``FiniteCheck`` does.
+
 The reverse sweep keeps only its frontier: a record's output gradient is
 dropped as soon as that record's closure has consumed it, so the map that
-``backward`` returns holds the leaves alone (tensors no record produced).
-Gradients are passed around without copies, so a closure never writes into
-its incoming gradient ``g`` (it arrives read-only); it may return ``g`` or
-views of it.
+``backward`` returns holds the leaves alone. Gradients are passed around
+without copies, so a closure never writes into its incoming gradient ``g``
+(it arrives read-only); it may return ``g`` or views of it.
 
 Every layout-aware primitive takes a leading batch axis: feature maps are
 [B,C,H,W] and token sequences are [B,L,D]. A single image or sequence is a
@@ -43,10 +51,11 @@ class Tensor:
     none is given, whatever the input's own dtype.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "_key")
 
     def __init__(self, data, dtype=None):
         self.data = np.ascontiguousarray(data, dtype=dtype or DEFAULT)
+        self._key = None           # set by the tape whose record produces it
 
     @property
     def shape(self) -> tuple:
@@ -80,14 +89,19 @@ class Parameter(Tensor):
 class Tape:
     """Ordered record of primitive operations for one reverse sweep.
 
+    A record is (input keys, output key, backward_fn). The output key is a
+    token that the tape gives the output tensor; an input's key is its token
+    when a record on this tape produced it, else the input itself, a leaf,
+    which the tape keeps. No record holds a produced tensor or its array.
+
     ``backward`` visits the records strictly in reverse of recording order and
-    accumulates gradients in a map keyed by tensor identity. Tensors that do
-    not lie on a path to the loss simply never appear in the map (their
-    gradient is zero).
+    accumulates gradients in a map by key. Tensors that do not lie on a path
+    to the loss simply never appear in the map (their gradient is zero).
     """
 
     def __init__(self):
-        self._records: list[tuple[tuple[Tensor, ...], Tensor, Callable]] = []
+        self._records: list[tuple[tuple, object, Callable]] = []
+        self._produced: set = set()        # output keys of this tape's records
 
     def __enter__(self) -> "Tape":
         _stack.append(self)
@@ -97,19 +111,29 @@ class Tape:
         popped = _stack.pop()
         assert popped is self, "tapes must be exited in LIFO order"
 
+    def key(self, t: Tensor):
+        """``t``'s token if a record on this tape produced it, else ``t``."""
+        return t._key if t._key in self._produced else t
+
     def record(self, inputs: tuple, output: Tensor, backward_fn: Callable) -> None:
         """Append one primitive.
 
         ``backward_fn(grad_out)`` must return one gradient array (or None) per
-        input, aligned with ``inputs``.
+        input, aligned with ``inputs``. The record keeps the inputs' keys and
+        a new token for ``output``, not the tensors (leaves aside).
         """
-        self._records.append((inputs, output, backward_fn))
+        keys = tuple(self.key(t) for t in inputs)
+        token = output._key = object()
+        self._produced.add(token)
+        self._records.append((keys, token, backward_fn))
 
     def __len__(self) -> int:
         return len(self._records)
 
     def __iter__(self):
-        """The (inputs, output, backward_fn) records, in recording order."""
+        """The (input keys, output key, backward_fn) records, in recording
+        order. A key is a token, or a leaf tensor; the arrays a backward
+        reads are its closure's alone."""
         return iter(self._records)
 
 
@@ -149,45 +173,46 @@ def record_op(inputs: tuple, out_data: np.ndarray, backward_fn: Callable) -> Ten
 
 
 def backward(tape: Tape, loss: Tensor) -> dict:
-    """Reverse sweep; returns a map from each leaf (a tensor no record
-    produced, keyed by identity) on a path to the loss to its gradient.
+    """Reverse sweep; returns a map from each leaf (a tensor no record on
+    ``tape`` produced) on a path to the loss to its gradient.
 
-    The map holds only the frontier: a record's output gradient is popped
-    when its record consumes it, so no dead gradient outlives its use.
-    Each closure gets its gradient ``g`` read-only; it must not write into
-    it, and may return ``g`` itself or views of it. A first-arriving
-    gradient is stored as returned (cast only when its dtype differs from
-    the loss's), so entries may share memory; a second arrival adds into a
-    fresh array, and later ones add in place into that array. The returned
-    gradients are read-only.
+    Gradients are routed by record key (``Tape``), and the map holds only
+    the frontier: a record's output gradient is popped when its record
+    consumes it, so no dead gradient outlives its use. Each closure gets its
+    gradient ``g`` read-only; it must not write into it, and may return
+    ``g`` itself or views of it. A first-arriving gradient is stored as
+    returned (cast only when its dtype differs from the loss's), so entries
+    may share memory; a second arrival adds into a fresh array, and later
+    ones add in place into that array. The returned gradients are read-only.
     """
     if loss.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
     dtype = loss.data.dtype
-    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    owned = {loss}                     # entries only this sweep can reach
-    for inputs, output, backward_fn in reversed(tape._records):
-        g = grads.pop(output, None)
+    start = tape.key(loss)
+    grads: dict = {start: np.ones_like(loss.data)}
+    owned = {start}                    # entries only this sweep can reach
+    for in_keys, out_key, backward_fn in reversed(tape._records):
+        g = grads.pop(out_key, None)
         if g is None:
             continue
         g.flags.writeable = False
         in_grads = backward_fn(g)
-        for inp, gi in zip(inputs, in_grads):
+        for key, gi in zip(in_keys, in_grads):
             if gi is None:
                 continue
-            acc = grads.get(inp)
+            acc = grads.get(key)
             if acc is None:
                 if gi.dtype == dtype:
-                    grads[inp] = gi
+                    grads[key] = gi
                 else:
-                    grads[inp] = np.array(gi, dtype=dtype)
-                    owned.add(inp)
-            elif inp in owned:
+                    grads[key] = np.array(gi, dtype=dtype)
+                    owned.add(key)
+            elif key in owned:
                 acc += gi
             else:
                 # the entry is borrowed, possibly shared with another entry
-                grads[inp] = np.add(acc, gi, out=np.empty_like(acc))
-                owned.add(inp)
+                grads[key] = np.add(acc, gi, out=np.empty_like(acc))
+                owned.add(key)
     for g in grads.values():
         g.flags.writeable = False
     return grads
@@ -233,8 +258,10 @@ def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    xd = x.data
-    return record_op((x,), np.maximum(xd, 0), lambda g: (g * (xd > 0),))
+    # the mask is read off the output, which the next op keeps as its input:
+    # max(x, 0) > 0 exactly where x > 0, NaN and -0.0 included
+    out = np.maximum(x.data, 0)
+    return record_op((x,), out, lambda g: (g * (out > 0),))
 
 
 def _sigmoid_denominator(xd: np.ndarray) -> np.ndarray:

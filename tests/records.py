@@ -25,6 +25,26 @@ def retained_bytes(op, *args):
     return retained, out
 
 
+def kept_bytes(op, *args):
+    """Bytes a tape keeps for recording ``op(*args)`` once the caller has
+    dropped every tensor. Each ndarray argument is first made the output of
+    an earlier record on that tape, so it is no leaf: the tape keeps its
+    array only if ``op``'s closure does. Other arguments pass as they are."""
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            tensors = [T.scale(T.Tensor(a, a.dtype), 1.0) if isinstance(a, np.ndarray) else a
+                       for a in args]
+            op(*tensors)
+        del tensors
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    made = sum(isinstance(a, np.ndarray) for a in args)
+    assert [T.record_name(fn) for _, _, fn in tape] == ["tensor.scale"] * made + [T.record_name(op)]
+    return kept
+
+
 def relu_like_gradient(rng, shape, dtype):
     """Normal entries, a third of them -0.0 (as a relu mask leaves a negative
     gradient) and one inf."""

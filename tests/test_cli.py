@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 import pmtk
+from pmtk import cli, serialize
 from pmtk.cli import build_parser, main
-from pmtk.data import SynthConfig, load_dataset, load_image, save_image, synth_generate
+from pmtk.data import (Sample, SynthConfig, load_dataset, load_image, save_dataset,
+                       save_image, synth_generate)
+from pmtk.errors import FormatError
+from pmtk.model import PMamba, StagePlan, evaluate
 from pmtk.pmd import DiffusionConfig, denoise_with_log, pmd_step_dwt
+
+from dtypes import cast_parameters
 
 
 @pytest.fixture()
@@ -228,6 +234,36 @@ def test_train_without_val_split_exits_1(tmp_path, capsys):
     assert not (tmp_path / "m.ckpt").exists()
 
 
+def test_train_rejects_mixed_extents_naming_the_file(tmp_path, capsys):
+    # one 64x64 image among 32x32 ones fails where it is read, not in np.stack
+    root = tmp_path / "data"
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
+    big = synth_generate(SynthConfig(seed=1, count=1, size=64))[0]
+    save_image(root / "images" / "s00003.pgm", big.image)
+    save_image(root / "masks" / "s00003.pgm", big.mask.astype(np.float64))
+    rc = main(["train", "--data", str(root), "--out", str(tmp_path / "m.ckpt"), "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.search(r"s000\d\d\.pgm: image is \d\dx\d\d, but \S+s000\d\d\.pgm is", err), err
+    assert "s00003.pgm" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_extent_the_model_rejects_names_the_file(tmp_path, capsys, command):
+    root = tmp_path / "data"
+    rng = np.random.default_rng(0)
+    samples = [Sample(f"s{i}", rng.uniform(size=(1, 48, 48)), np.zeros((48, 48), np.int64))
+               for i in range(3)]
+    save_dataset(root, {"train": samples[:2], "val": samples[2:]})
+    args = {"train": ["--epochs", "1"], "eval": ["--checkpoint", str(tmp_path / "none.ckpt")]}
+    rc = main([command, "--data", str(root), "--out", str(tmp_path / "out")] + args[command])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.search(r"images/s\d\.pgm: extent 48 is not a multiple of 32", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def test_eval_missing_checkpoint(tmp_path, capsys):
     root = tmp_path / "data"
     # 10 samples split 8/1/1, so eval gets past the split and opens the checkpoint
@@ -253,6 +289,33 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys, raw, message):
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_eval_predicts_in_the_checkpoints_dtype(tmp_path, monkeypatch):
+    root = tmp_path / "data"
+    main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
+    model = cast_parameters(PMamba(np.random.default_rng(3), StagePlan(), 32), np.float64)
+    ckpt = tmp_path / "f64.ckpt"
+    serialize.save_checkpoint(ckpt, model.named_parameters())
+    evaluated = []
+
+    def recording_evaluate(m, samples):
+        evaluated.append({p.data.dtype for p in m.parameters()})
+        return evaluate(m, samples)
+
+    monkeypatch.setattr(cli, "evaluate", recording_evaluate)
+    rc = main(["eval", "--data", str(root), "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 0
+    assert evaluated == [{np.dtype(np.float64)}]
+    _, means = evaluate(model, load_dataset(root)["val"])
+    last = (tmp_path / "r.csv").read_text().strip().split("\n")[-1]
+    assert last == f"mean,{means['precision']:.6f},{means['recall']:.6f},{means['dice']:.6f}"
+    # the same checkpoint does not load, cast, into a float32 model
+    with pytest.raises(FormatError,
+                       match=r"pmd_branch\.\S+: stored as float64, the model's parameter is float32"):
+        serialize.restore_into(PMamba(np.random.default_rng(0), StagePlan(), 32),
+                               serialize.load_checkpoint(ckpt))
 
 
 def test_bench_writes_scaling_and_profile(tmp_path):
@@ -286,7 +349,8 @@ def test_gradcheck_passes(capsys):
 
 
 def test_installed_entry_point_smoke(tmp_path):
-    # the console script itself, end to end in a subprocess
+    # main() end to end in a fresh interpreter, the call the `pmtk` console
+    # script makes; the installed script itself runs in CI, after `pip install .`
     root = tmp_path / "ds"
     proc = subprocess.run(
         [sys.executable, "-c",

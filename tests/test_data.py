@@ -217,3 +217,27 @@ def test_load_dataset_rejects_bad_manifest(tmp_path):
     (tmp_path / "manifest.csv").write_text("id,split\n")
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+
+
+def sample(i, shape, mask_shape=None):
+    """Sample ``s<i>`` with a [1, *shape] image and a ``mask_shape`` mask
+    (default: the image's extent)."""
+    rng = np.random.default_rng(i)
+    mask = rng.uniform(size=mask_shape or shape) > 0.5
+    return Sample(f"s{i}", rng.uniform(size=(1,) + shape), mask.astype(np.int64))
+
+
+@pytest.mark.parametrize("splits, error, message", [
+    ({"train": [sample(0, (32, 32)), sample(1, (64, 64))]}, DataError,
+     r"images/s1\.pgm: image is 64x64, but \S*images/s0\.pgm is 32x32"),
+    ({"train": [sample(0, (32, 32), mask_shape=(16, 16))]}, DataError,
+     r"masks/s0\.pgm: mask is 16x16, its image 32x32"),
+    ({"train": [sample(0, (32, 64))]}, DataError,
+     r"images/s0\.pgm: image is 64x32, not square"),
+    ({"train": [sample(0, (32, 32))], "val": [sample(0, (32, 32))]}, FormatError,
+     r"manifest\.csv: id 's0' is listed twice"),
+], ids=["mixed-extents", "mask-extent", "non-square", "repeated-id"])
+def test_load_dataset_names_the_file_at_fault(tmp_path, splits, error, message):
+    save_dataset(tmp_path, splits)
+    with pytest.raises(error, match=message):
+        load_dataset(tmp_path)

@@ -216,6 +216,17 @@ def test_hidden_entries_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def test_archive_without_entries_rejected(tmp_path):
+    # an entry's local header, then an end record that counts no entries:
+    # zipfile reads an empty archive from it
+    p = two_entry_checkpoint(tmp_path)
+    raw = p.read_bytes()
+    start = raw.index(b"PK\x01\x02")
+    p.write_bytes(raw[:start] + struct.pack("<4s4H2LH", b"PK\x05\x06", 0, 0, 0, 0, 0, start, 0))
+    with pytest.raises(FormatError, match="records no entries"):
+        load_checkpoint(p)
+
+
 def test_archive_comment_rejected(tmp_path):
     # np.savez writes none, so the end record must be the last 22 bytes
     p = tmp_path / "ck.npz"
@@ -318,6 +329,16 @@ def test_restore_rejects_entries_the_model_lacks(tmp_path):
     assert list(loaded) == ["w", "extra.w"]
     with pytest.raises(FormatError, match="extra.w"):
         restore_into(module, loaded)
+
+
+def test_restore_rejects_another_dtype_naming_the_entry():
+    module = Module()
+    module.a = Parameter(np.zeros(2), dtype=np.float64)
+    module.b = Parameter(np.zeros(3), dtype=np.float32)
+    with pytest.raises(FormatError, match="b: stored as float64, the model's parameter is float32"):
+        restore_into(module, {"a": np.ones(2), "b": np.ones(3)})
+    np.testing.assert_array_equal(module.a.data, np.zeros(2))
+    assert module.b.data.dtype == np.float32
 
 
 @pytest.mark.parametrize("loaded, match", [

@@ -17,7 +17,7 @@ from pmtk import tensor as T
 from pmtk.errors import DataError, DimensionError, DivergenceError
 
 from dtypes import DTYPES, cast_parameters
-from records import RECORD_OVERHEAD, relu_like_gradient, retained_bytes
+from records import RECORD_OVERHEAD, kept_bytes, relu_like_gradient, retained_bytes
 
 
 def scalar_graph(a, b):
@@ -124,18 +124,18 @@ def test_closure_writing_into_its_gradient_raises():
 
 def reference_backward(tape, loss):
     """The copy-everything sweep: every gradient, a copy of each first
-    arrival, kept until the end."""
-    grads = {loss: np.ones_like(loss.data)}
-    for inputs, output, backward_fn in reversed(list(tape)):
-        g = grads.get(output)
+    arrival, kept until the end, by record key."""
+    grads = {tape.key(loss): np.ones_like(loss.data)}
+    for in_keys, out_key, backward_fn in reversed(list(tape)):
+        g = grads.get(out_key)
         if g is None:
             continue
-        for inp, gi in zip(inputs, backward_fn(g)):
+        for key, gi in zip(in_keys, backward_fn(g)):
             if gi is None:
                 continue
-            acc = grads.get(inp)
+            acc = grads.get(key)
             if acc is None:
-                grads[inp] = np.array(gi, dtype=loss.data.dtype)
+                grads[key] = np.array(gi, dtype=loss.data.dtype)
             else:
                 acc += gi
     return grads
@@ -158,8 +158,9 @@ def test_backward_equals_copy_everything_sweep_bit_for_bit(mode):
     assert loss.data.dtype == DTYPES[mode]
     ref = reference_backward(tape, loss)
     grads = T.backward(tape, loss)
-    produced = {output for _, output, _ in tape}
-    leaves = {t for t in ref if t not in produced}
+    produced = {out_key for _, out_key, _ in tape}
+    leaves = {key for key in ref if key not in produced}
+    assert all(isinstance(t, T.Tensor) for t in leaves)
     assert set(grads) == leaves
     assert (len(grads), len(ref)) == (314, 715)
     for t in leaves:
@@ -365,9 +366,9 @@ def test_conv2d_backward_equals_kept_cols_backward_bit_for_bit(k, stride, pad, s
 
 @pytest.mark.parametrize("k, stride, pad", [(3, 1, 1), (3, 2, 1), (1, 2, 0)])
 def test_conv2d_record_keeps_no_im2col_matrix(k, stride, pad):
-    # The record holds only its inputs, so recording retains the output and
-    # no more: no im2col matrix (9x the input at k=3, 1/4 at k=1 stride 2)
-    # and no padded copy. Over the batch-8 f32 micro_training_tape, traced
+    # The closure keeps only the input, so recording retains the output,
+    # which the caller holds, and no more: no im2col matrix (9x the input
+    # at k=3, 1/4 at k=1 stride 2) and no padded copy. Over the batch-8 f32 micro_training_tape, traced
     # from just before its forward, keeping them made the tape 8869 KiB and
     # the forward-plus-backward peak 10358 KiB; rebuilding them (and the
     # scan's decays) in the backward gives 5675 and 7499 KiB.
@@ -376,6 +377,47 @@ def test_conv2d_record_keeps_no_im2col_matrix(k, stride, pad):
     w = T.Tensor(rng.standard_normal((4, 4, k, k)))
     retained, out = retained_bytes(T.conv2d, x, w, stride, pad)
     assert out.data.nbytes <= retained <= out.data.nbytes + RECORD_OVERHEAD
+
+
+# [B,C,H,W] of the record guards below: 32 KiB in f32
+MAP = (2, 4, 32, 32)
+
+
+def f32_map(shape=MAP):
+    return np.random.default_rng(40).standard_normal(shape).astype(np.float32)
+
+
+@pytest.mark.parametrize("op, arrays, extra", [
+    (T.add, 2, ()),
+    (T.reshape, 1, ((8, 1024),)),
+    (T.transpose, 1, ((0, 2, 3, 1),)),
+], ids=["add", "reshape", "transpose"])
+def test_record_keeps_no_array(op, arrays, extra):
+    # A record keeps keys, not tensors, and these closures read no array:
+    # once the caller drops input and output, the tape keeps neither. A
+    # record that held its tensors kept 64-96 KiB here.
+    assert kept_bytes(op, *[f32_map() for _ in range(arrays)], *extra) <= RECORD_OVERHEAD
+
+
+def test_relu_record_keeps_only_its_output():
+    # the backward's mask is read off the output, not the input
+    x = f32_map()
+    assert x.nbytes <= kept_bytes(T.relu, x) <= x.nbytes + RECORD_OVERHEAD
+
+
+def test_bilinear_upsample_record_keeps_only_its_matrices():
+    # the two [32, 16] interpolation matrices; neither the [2,8,16,16]
+    # input nor the 4x larger output
+    matrices = 2 * 32 * 16 * np.dtype(np.float32).itemsize
+    assert kept_bytes(T.bilinear_upsample, f32_map((2, 8, 16, 16)), 2) <= matrices + RECORD_OVERHEAD
+
+
+def test_norm_affine_record_keeps_only_its_xhat():
+    # the 64-bit standardized input; neither the input nor the output
+    x = f32_map()
+    gamma, beta = T.Tensor(np.ones(MAP[1])), T.Tensor(np.zeros(MAP[1]))
+    xhat = x.size * np.dtype(np.float64).itemsize
+    assert xhat <= kept_bytes(T.norm_affine, x, gamma, beta) <= xhat + RECORD_OVERHEAD
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
