@@ -22,11 +22,10 @@ from . import serialize
 from .data import (SynthConfig, image_path, load_dataset, load_image,
                    save_dataset, save_image, split, synth_generate)
 from .errors import ConfigError, DataError, PmtkError
-from .gradcheck import check_model_micro, run_gradient_suite
+from .gradcheck import TOL, check_model_micro, run_gradient_suite
 from .model import (LOG_HEADER, TOTAL_STRIDE, PMamba, StagePlan, TrainConfig,
                     evaluate, model_profile, train_toy)
 from .pmd import DiffusionConfig, denoise_with_log, pmd_step_fd
-from .precision import DEFAULT, GRADCHECK
 from .ssm import loglog_slope, scan_complexity_probe
 from .wavelet import dwt2
 
@@ -151,9 +150,7 @@ def cmd_eval(args) -> int:
     # the model predicts in the dtype the checkpoint stores: that of its
     # first entry (load_checkpoint returns at least one), as restore_into
     # rejects an entry whose dtype is not its parameter's
-    dtype = next(iter(loaded.values())).dtype
-    for p in model.parameters():
-        p.data = p.data.astype(dtype)
+    model.astype(next(iter(loaded.values())).dtype)
     serialize.restore_into(model, loaded)
     rows, means = evaluate(model, samples)
     out_rows = [(sid, f"{p:.6f}", f"{r:.6f}", f"{d:.6f}") for sid, p, r, d in rows]
@@ -184,16 +181,16 @@ def cmd_bench(args) -> int:
 def cmd_gradcheck(args) -> int:
     seeds = tuple(range(args.seed, args.seed + 5))
     results = run_gradient_suite(seeds)
-    tol, _ = GRADCHECK[DEFAULT]
+    print(f"float64 leaves, tolerance {TOL:.1e}")
     failed = False
     for name, err in results:
-        ok = err <= tol
+        ok = err <= TOL
         failed |= not ok
         print(f"{name:22s} max_rel_err {err:.3e} {'PASS' if ok else 'FAIL'}")
     if args.model:
         for seed in seeds:
             err = check_model_micro(seed)
-            ok = err <= tol
+            ok = err <= TOL
             failed |= not ok
             print(f"model(seed={seed})      max_rel_err {err:.3e} {'PASS' if ok else 'FAIL'}")
     return 1 if failed else 0

@@ -8,10 +8,10 @@ The core recurrence, per channel d with hidden state h in R^S:
 
 delta, B, C are input-dependent (selective) linear projections of the token
 sequence; delta goes through a softplus and A is stored as -exp(A_log), which
-keeps abar inside (0, 1). ``scan_sequential`` is the plain-loop definition
-used as the oracle. ``scan_core`` carries a hand-derived backward pass and
-loops only the two recurrences, the state forward in time and its adjoint
-backward in time; everything else is a batched contraction.
+keeps abar inside (0, 1). The plain-loop recurrence, the kernels' oracle,
+lives in ``tests/test_ssm.py``. ``scan_core`` carries a hand-derived backward
+pass and loops only the two recurrences, the state forward in time and its
+adjoint backward in time; everything else is a batched contraction.
 
 Layouts: the kernels take and return batch-major [Bn, L, D] sequences and
 [Bn, L, S] B and C, like every tape primitive. Inside, the state H, the
@@ -109,21 +109,6 @@ def scan_backward_np(gy, u, delta, A, B, C, Dskip, H):
     gA = np.einsum("lbsd,lbd->ds", gdA, dt)
     gDskip = np.einsum("bld,bld->d", gy, u)
     return gu, gdelta, gA, gB, gC, gDskip
-
-
-def scan_sequential(u, delta, A, B, C, Dskip):
-    """Definitional recurrence, looped per batch item, time step and channel."""
-    Bn, L, D = u.shape
-    S = A.shape[1]
-    y = np.zeros_like(u)
-    for b in range(Bn):
-        for d in range(D):
-            h = np.zeros(S, dtype=u.dtype)
-            for t in range(L):
-                abar = np.exp(delta[b, t, d] * A[d])
-                h = abar * h + delta[b, t, d] * B[b, t] * u[b, t, d]
-                y[b, t, d] = C[b, t] @ h + Dskip[d] * u[b, t, d]
-    return y
 
 
 def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,

@@ -706,6 +706,12 @@ class Module:
     def parameter_count(self) -> int:
         return int(sum(p.size for p in self.parameters()))
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place; returns the module."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+        return self
+
 
 class Momentum:
     """Plain momentum SGD: v = mu*v + g; p -= lr*v."""

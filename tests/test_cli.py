@@ -15,10 +15,10 @@ from pmtk.cli import build_parser, main
 from pmtk.data import (Sample, SynthConfig, load_dataset, load_image, save_dataset,
                        save_image, synth_generate)
 from pmtk.errors import FormatError
+from pmtk.gradcheck import FAMILIES
 from pmtk.model import PMamba, StagePlan, evaluate
 from pmtk.pmd import DiffusionConfig, denoise_with_log, pmd_step_dwt
 
-from dtypes import cast_parameters
 
 
 @pytest.fixture()
@@ -294,7 +294,7 @@ def test_eval_rejects_a_bad_checkpoint(tmp_path, capsys, raw, message):
 def test_eval_predicts_in_the_checkpoints_dtype(tmp_path, monkeypatch):
     root = tmp_path / "data"
     main(["synth", "--out", str(root), "--count", "10", "--size", "32"])
-    model = cast_parameters(PMamba(np.random.default_rng(3), StagePlan(), 32), np.float64)
+    model = PMamba(np.random.default_rng(3), StagePlan(), 32).astype(np.float64)
     ckpt = tmp_path / "f64.ckpt"
     serialize.save_checkpoint(ckpt, model.named_parameters())
     evaluated = []
@@ -342,10 +342,11 @@ def test_bench_bad_lengths_is_usage_error(tmp_path, capsys):
 
 def test_gradcheck_passes(capsys):
     rc = main(["gradcheck"])
-    out = capsys.readouterr().out
+    header, *rows = capsys.readouterr().out.splitlines()
     assert rc == 0
-    assert "PASS" in out
-    assert "FAIL" not in out
+    assert header == "float64 leaves, tolerance 1.0e-06"
+    assert [row.split()[0] for row in rows] == list(FAMILIES)
+    assert all(row.endswith(" PASS") for row in rows)
 
 
 def test_installed_entry_point_smoke(tmp_path):

@@ -10,13 +10,9 @@ import numpy as np
 import pytest
 
 from pmtk.cli import main
-from pmtk.gradcheck import (FD_STEP, FAMILIES, _check_leaves, central_diff,
-                            check_scalar_fn, max_rel_err, run_gradient_suite)
-from pmtk.precision import DEFAULT, GRADCHECK
-from pmtk.tensor import Tensor, linear, mul, record_op, tsum
-
-# check_scalar_fn builds its leaves in the default dtype
-TOL, _ = GRADCHECK[DEFAULT]
+from pmtk.gradcheck import (FD_STEP, FAMILIES, TOL, central_diff, check_scalar_fn,
+                            max_rel_err, run_gradient_suite)
+from pmtk.tensor import Tensor, linear, mul, mul_const, record_op, tsum
 
 
 def test_finite_diff_on_quadratic_is_exact_to_truncation():
@@ -28,22 +24,30 @@ def test_finite_diff_on_quadratic_is_exact_to_truncation():
 
 
 def test_central_diff_probes_only_the_picked_elements_in_64_bit():
-    x = Tensor(np.array([[0.5, -1.25], [2.0, 3.0]]), dtype=np.float32)
-    dtypes = set()
+    x = Tensor(np.array([[0.5, -1.25], [2.0, 3.0]]), dtype=np.float64)
+    data, values = x.data, x.data.copy()
+    probed = []
 
     def objective():
-        dtypes.add(x.data.dtype)
+        probed.append(tuple(np.flatnonzero(x.data != values)))
         return float((x.data ** 2).sum())
 
     (g,) = central_diff(objective, [x], [[3, 0]], FD_STEP)
     np.testing.assert_allclose(g, [6.0, 1.0], atol=1e-9)
-    assert dtypes == {np.dtype(np.float64)}
-    assert x.data.dtype == np.float32
+    assert probed == [(3,), (3,), (0,), (0,)]
+    assert x.data is data
+    np.testing.assert_array_equal(x.data, values)
+
+
+def test_central_diff_rejects_leaves_not_in_64_bit():
+    x = Tensor(np.array([1.0, 2.0]), dtype=np.float32)
+    with pytest.raises(TypeError, match="float32"):
+        central_diff(lambda: float(x.data.sum()), [x], [[0]], FD_STEP)
 
 
 def test_central_diff_restores_leaves_when_the_objective_raises():
-    a = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float32)
-    b = Tensor(np.array([[4.0, 5.0]]), dtype=np.float32)
+    a = Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
+    b = Tensor(np.array([[4.0, 5.0]]), dtype=np.float64)
     originals = [a.data, b.data]
     saved = [d.copy() for d in originals]
     calls = []
@@ -72,6 +76,25 @@ def test_wrong_adjoint_is_flagged():
     assert err >= 100 * TOL
 
 
+def test_adjoint_off_by_1e_4_is_flagged():
+    # identity whose backward returns (1 + 1e-4) g: through sum(op(x) * r)
+    # every entry of the gradient is off by a relative 1e-4, which a
+    # tolerance of 1e-3 would let through
+    dtypes = set()
+
+    def scaled_adjoint(x):
+        dtypes.add(x.data.dtype)
+        return record_op((x,), x.data.copy(), lambda g: ((1 + 1e-4) * g,))
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.5, 1.5, (3, 4))
+    r = rng.uniform(0.5, 1.5, (3, 4))
+    err = check_scalar_fn(lambda ts: tsum(mul_const(scaled_adjoint(ts[0]), r)), [x])
+    assert dtypes == {np.dtype(np.float64)}
+    assert err > TOL
+    assert err == pytest.approx(1e-4, rel=1e-3)
+
+
 def test_max_rel_err_ignores_jointly_tiny_entries():
     a = np.array([1.0, 1e-12])
     b = np.array([1.0, -1e-12])  # sign flip, but both under the floor
@@ -90,19 +113,6 @@ def test_check_scalar_fn_small_on_correct_gradient():
     b = rng.normal(size=(4, 2))
     err = check_scalar_fn(lambda ts: tsum(linear(ts[0], ts[1])), [a, b])
     assert err < TOL
-
-
-def test_tolerances_are_keyed_by_the_leaves_dtype():
-    # (tolerance, noise-floor coefficient)
-    assert GRADCHECK[np.dtype(np.float64)] == (1e-6, 1e-4)
-    assert GRADCHECK[np.dtype(np.float32)] == (1e-3, 1e-3)
-    assert DEFAULT == np.float32
-    # 64-bit leaves give a 64-bit tape, which meets the 64-bit tolerance
-    rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(3, 4)), np.float64)
-    b = Tensor(rng.normal(size=(4, 2)), np.float64)
-    err = _check_leaves(lambda: tsum(linear(a, b)), [a, b])
-    assert err < GRADCHECK[np.dtype(np.float64)][0]
 
 
 def test_suite_returns_one_row_per_requested_family():

@@ -34,7 +34,7 @@ from pmtk.model import (
 )
 from pmtk.serialize import load_checkpoint, restore_into, save_checkpoint
 
-from dtypes import DTYPES, cast_parameters
+from dtypes import DTYPES
 
 
 def micro_model(seed=0, size=32):
@@ -267,7 +267,7 @@ def test_dtype_follows_the_parameters(mode):
     # updated parameter has the parameters' dtype, although the images and
     # the step's constants are float64
     dtype = DTYPES[mode]
-    model = cast_parameters(micro_model(), dtype)
+    model = micro_model().astype(dtype)
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 1.0, (2, 1, 32, 32))
     target = rng.integers(0, 2, (2, 32, 32))

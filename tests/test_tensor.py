@@ -16,7 +16,7 @@ from pmtk import model as M
 from pmtk import tensor as T
 from pmtk.errors import DataError, DimensionError, DivergenceError
 
-from dtypes import DTYPES, cast_parameters
+from dtypes import DTYPES
 from records import RECORD_OVERHEAD, kept_bytes, relu_like_gradient, retained_bytes
 
 
@@ -144,7 +144,7 @@ def reference_backward(tape, loss):
 def micro_training_tape(dtype=np.float32):
     """Tape and loss of one micro-model training step at batch 8, 32x32."""
     rng = np.random.default_rng(0)
-    model = cast_parameters(M.PMamba(rng, M.MICRO_PLAN, size=32), dtype)
+    model = M.PMamba(rng, M.MICRO_PLAN, size=32).astype(dtype)
     x = rng.uniform(0.0, 1.0, (8, 1, 32, 32))
     target = (rng.uniform(size=(8, 32, 32)) > 0.5).astype(np.int64)
     with T.Tape() as tape:
