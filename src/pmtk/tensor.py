@@ -272,9 +272,14 @@ def _sigmoid_denominator(xd: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
+    # the record keeps only the input; the backward recomputes the sigmoid
     xd = x.data
-    s = 1.0 / _sigmoid_denominator(xd)
-    return record_op((x,), xd * s, lambda g: (g * (s * (1.0 + xd * (1.0 - s))),))
+
+    def bwd(g):
+        s = 1.0 / _sigmoid_denominator(xd)
+        return (g * (s * (1.0 + xd * (1.0 - s))),)
+
+    return record_op((x,), xd * (1.0 / _sigmoid_denominator(xd)), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -409,24 +414,30 @@ def _col2im(gcols: np.ndarray, k: int, stride: int, Ho: int, Wo: int, shape: tup
     """Adjoint of ``_im2col`` for k > 1 or stride 2: sums each tap's [B,C,Ho,Wo]
     slab of ``gcols`` into the padded input extent ``shape``.
 
-    Each tap is copied into its own zeroed plane, then the planes are added
-    into a zeroed accumulator in tap order. A strided ``+=`` per tap, whose
-    inner loop runs over only Wo elements, costs about twice as much. The
-    sum is that loop's bit for bit: every pixel receives the same additions
-    in the same order, and an entry a tap does not touch adds +0.0, which
-    changes no value an accumulator starting at +0.0 can hold (it never holds
-    -0.0).
+    One kernel row at a time: the row's k taps are copied into k zeroed
+    planes, then each plane is added into a zeroed accumulator, in tap order,
+    at its row's offset. A strided ``+=`` per tap, whose inner loop runs over
+    only Wo elements, costs about twice as much. The planes leave out the row
+    offset, so every row writes the same entries and the planes are zeroed
+    once; k planes are live, not k². The sum is that loop's bit for bit:
+    every pixel receives the same additions in the same order, and an entry
+    a tap does not touch adds +0.0 or nothing, which changes no value an
+    accumulator starting at +0.0 can hold (it never holds -0.0).
     """
-    planes = np.zeros((k, k) + shape, dtype=gcols.dtype)
-    si, sj, sb, sc, sh, sw = planes.strides
-    # view[b, c, i, j, ho, wo] is planes[i, j, b, c, i + stride*ho, j + stride*wo]
+    B, C, _, Wp = shape
+    span = stride * (Ho - 1) + 1           # the rows one tap reaches
+    planes = np.zeros((k, B, C, span, Wp), dtype=gcols.dtype)
+    sj, sb, sc, sh, sw = planes.strides
+    # view[b, c, j, ho, wo] is planes[j, b, c, stride*ho, j + stride*wo]
     view = np.lib.stride_tricks.as_strided(
-        planes, (shape[0], shape[1], k, k, Ho, Wo),
-        (sb, sc, si + sh, sj + sw, stride * sh, stride * sw))
-    view[...] = gcols.reshape(view.shape)
+        planes, (B, C, k, Ho, Wo), (sb, sc, sj + sw, stride * sh, stride * sw))
+    taps = gcols.reshape(B, C, k, k, Ho, Wo)
     gxp = np.zeros(shape, dtype=gcols.dtype)
-    for plane in planes.reshape((k * k,) + shape):
-        gxp += plane
+    for i in range(k):
+        view[...] = taps[:, :, i]
+        rows = gxp[:, :, i:i + span]
+        for plane in planes:
+            rows += plane
     return gxp
 
 
@@ -533,6 +544,14 @@ def _standardize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     spread can sit orders below |x|, and 1/sqrt(var + eps) amplifies the
     cancellation error of a narrow-dtype (x - mean) into the dominant
     gradient noise of a deep model.
+
+    The adjoint keeps ``xd`` in its storage dtype and the per-channel mean
+    and 1/std, not the 64-bit standardized input: that is twice the size of
+    an f32 input, which the record before it (a conv) does not keep. The
+    backward rebuilds it with the forward's own operations, so it is the
+    forward's bit for bit. Each f32 operand of a full-size product is
+    widened once, as a mixed-dtype product runs a slow buffered cast; the
+    values are those of the mixed expression, and ``dx`` is 64-bit.
     """
     shape = [1] * xd.ndim
     shape[channel_axis] = gamma.size
@@ -542,22 +561,35 @@ def _standardize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     xw = xd.astype(np.float64, copy=False)
     # one centring pass; these are the operations of xw.mean and xw.var, in
     # their order, so the statistics are theirs bit for bit
-    xc = xw - np.add.reduce(xw, axis=stat_axes, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=stat_axes, keepdims=True) / n
+    mean = np.add.reduce(xw, axis=stat_axes, keepdims=True) / n
+    xhat = xw - mean
+    var = np.add.reduce(xhat * xhat, axis=stat_axes, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + _NORM_EPS)
-    xhat = xc
     xhat *= inv
     # the affine runs on 64-bit copies of the parameters: with a broadcast
     # f32 operand numpy takes a buffered casting loop, ~4x slower here
-    out = (xhat * gd.astype(np.float64, copy=False)
-           + beta.reshape(shape).astype(np.float64, copy=False)).astype(xd.dtype)
+    xhat *= gd.astype(np.float64, copy=False)
+    xhat += beta.reshape(shape).astype(np.float64, copy=False)
+    out = xhat.astype(xd.dtype)
+    del xhat, xw
 
     def bwd(g):
+        xhat = xd.astype(np.float64)
+        xhat -= mean
+        xhat *= inv
         dxhat = g * gd
-        dx = (inv / n) * (n * dxhat
-                          - dxhat.sum(axis=stat_axes, keepdims=True)
-                          - xhat * (dxhat * xhat).sum(axis=stat_axes, keepdims=True))
-        return dx, (g * xhat).sum(axis=param_axes), g.sum(axis=param_axes)
+        # n * dxhat - sum(dxhat) stays in the storage dtype, as it always has
+        dx = n * dxhat
+        dx -= dxhat.sum(axis=stat_axes, keepdims=True)
+        dx = dx.astype(np.float64, copy=False)
+        w = dxhat.astype(np.float64)
+        w *= xhat
+        np.multiply(xhat, w.sum(axis=stat_axes, keepdims=True), out=w)
+        dx -= w
+        dx *= inv / n
+        w = g.astype(np.float64)
+        w *= xhat
+        return dx, w.sum(axis=param_axes), g.sum(axis=param_axes)
 
     return out, bwd
 

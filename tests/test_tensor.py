@@ -412,12 +412,50 @@ def test_bilinear_upsample_record_keeps_only_its_matrices():
     assert kept_bytes(T.bilinear_upsample, f32_map((2, 8, 16, 16)), 2) <= matrices + RECORD_OVERHEAD
 
 
-def test_norm_affine_record_keeps_only_its_xhat():
-    # the 64-bit standardized input; neither the input nor the output
+@pytest.mark.parametrize("op, shape, stats", [
+    (T.norm_affine, MAP, MAP[1]),
+    (T.token_norm, (2, 128, 32), 2 * 128),
+], ids=["norm_affine", "token_norm"])
+def test_norm_record_keeps_only_its_input(op, shape, stats):
+    # the f32 input and two 64-bit vectors of statistics (mean and 1/std, one
+    # entry per channel or per token); not the output, and not the 64-bit
+    # standardized input, twice the input's size, which the backward rebuilds.
+    # The closure's cells and small arrays, and the small buffers numpy keeps
+    # cached after the forward frees them, take up to 4.4 KB, so the bound
+    # allows two record overheads.
+    x = f32_map(shape)
+    D = shape[1] if op is T.norm_affine else shape[-1]
+    gamma, beta = T.Tensor(np.ones(D)), T.Tensor(np.zeros(D))
+    vectors = 2 * stats * np.dtype(np.float64).itemsize
+    kept = kept_bytes(op, x, gamma, beta)
+    assert x.nbytes <= kept <= x.nbytes + vectors + 2 * RECORD_OVERHEAD
+
+
+def test_silu_record_keeps_only_its_input():
+    # the backward recomputes the sigmoid, an input-sized array
     x = f32_map()
-    gamma, beta = T.Tensor(np.ones(MAP[1])), T.Tensor(np.zeros(MAP[1]))
-    xhat = x.size * np.dtype(np.float64).itemsize
-    assert xhat <= kept_bytes(T.norm_affine, x, gamma, beta) <= xhat + RECORD_OVERHEAD
+    assert x.nbytes <= kept_bytes(T.silu, x) <= x.nbytes + RECORD_OVERHEAD
+
+
+def test_conv2d_backward_holds_one_kernel_row_of_planes():
+    # The stem2 conv of a default-plan batch-8 64x64 step. Besides gcols and
+    # the padded gradient, col2im's planes are the backward's transient: one
+    # kernel row is 3 padded maps, 1.8 MB; all nine taps held 5.3 MB.
+    rng = np.random.default_rng(31)
+    x = T.Tensor(rng.standard_normal((8, 16, 32, 32)))
+    w = T.Tensor(rng.standard_normal((16, 16, 3, 3)))
+    out, bwd = single_record(T.conv2d, x, w, 2, 1)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    padded = 8 * 16 * 34 * 34 * 4
+    gcols = 8 * (16 * 9) * (16 * 16) * 4
+    tracemalloc.start()
+    try:
+        grads = bwd(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del grads
+    assert peak <= gcols + padded + 3 * padded + RECORD_OVERHEAD
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
