@@ -147,7 +147,13 @@ def fuse(a: list, b: list) -> list:
 # ---------------------------------------------------------------------------
 
 class SegHead(T.Module):
-    """Top-down multi-scale decoder to full-resolution class logits."""
+    """Top-down multi-scale decoder to full-resolution class logits.
+
+    The classifier runs at 1/4 scale, before the 4x upsample. Both are
+    linear and the classifier has no bias, so the order changes f32 rounding
+    only; upsampling 2 class maps instead of 32 channels keeps the step from
+    holding a full-resolution 32-channel map, 4.2 MB at batch 8 on 64x64.
+    """
 
     def __init__(self, rng: np.random.Generator, widths):
         mid = HEAD_WIDTH
@@ -160,8 +166,7 @@ class SegHead(T.Module):
         for f, lat in zip(feats[-2::-1], self.laterals[-2::-1]):
             t = T.add(T.bilinear_upsample(t, 2), T.conv2d(f, lat, 1, 0))
         tops = T.conv2d(t, self.smooth, 1, 1)
-        full = T.bilinear_upsample(tops, 4)
-        return T.conv2d(full, self.classify, 1, 0)
+        return T.bilinear_upsample(T.conv2d(tops, self.classify, 1, 0), 4)
 
 
 class FCNHead(T.Module):
