@@ -166,16 +166,8 @@ def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor
 # Token/map reshaping and patch embedding
 # ---------------------------------------------------------------------------
 
-def map_to_tokens(x: T.Tensor) -> tuple:
-    """[Bn,D,h,w] feature map -> ([Bn, h*w, D], (h, w)), row-major."""
-    if x.ndim != 4:
-        raise DimensionError(f"map_to_tokens: map must be [Bn,D,h,w], got {x.shape}")
-    Bn, D, h, w = x.shape
-    return T.transpose(T.reshape(x, (Bn, D, h * w)), (0, 2, 1)), (h, w)
-
-
 def tokens_to_map(X: T.Tensor, grid: tuple) -> T.Tensor:
-    """Inverse of map_to_tokens for [Bn,M,D] sequences."""
+    """[Bn, h*w, D] row-major tokens -> [Bn,D,h,w] feature map."""
     h, w = grid
     if X.ndim != 3:
         raise DimensionError(f"tokens_to_map: tokens must be [Bn,M,D], got {X.shape}")

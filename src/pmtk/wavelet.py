@@ -78,8 +78,3 @@ def idwt2(s: SubbandSet) -> np.ndarray:
     u[..., 1::2, 0::2] = (ll + lh - hl - hh) * 0.5
     u[..., 1::2, 1::2] = (ll - lh - hl + hh) * 0.5
     return u
-
-
-def detail_magnitude(s: SubbandSet) -> np.ndarray:
-    """Pointwise magnitude of the two first-order detail bands."""
-    return np.sqrt(s.lh * s.lh + s.hl * s.hl)

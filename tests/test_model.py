@@ -1,5 +1,6 @@
 """Model assembly, loss/metric contracts, and a tiny end-to-end fit."""
 
+import json
 import os
 import subprocess
 import sys
@@ -325,6 +326,41 @@ def test_seg_head_equals_classify_after_upsample_in_f64():
     got = head(feats).data
     assert got.shape == want.shape == (2, 2, 64, 64)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+# one default-plan batch-8 64x64 f32 training step; prints the loss and a
+# hash of each parameter's gradient
+STEP_HASHES = """
+import hashlib, json
+import numpy as np
+from pmtk import tensor as T
+from pmtk.model import PMamba, StagePlan, total_loss
+rng = np.random.default_rng(5)
+model = PMamba(rng, StagePlan(), size=64)
+x = rng.uniform(0.0, 1.0, (8, 1, 64, 64))
+target = rng.integers(0, 2, (8, 64, 64))
+with T.Tape() as tape:
+    loss, _ = total_loss(model(T.Tensor(x)), target)
+grads = T.backward(tape, loss)
+print(json.dumps({"loss": loss.data.tobytes().hex(), **{
+    name: hashlib.sha256(T.grad_of(grads, p).tobytes()).hexdigest()
+    for name, p in model.named_parameters()}}))
+"""
+
+
+def test_training_step_is_the_same_at_1_and_2_blas_threads():
+    # ABLATE and BENCH files compare runs made at different thread counts
+    src = str(Path(pmtk.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", STEP_HASHES], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        results.append(json.loads(out))
+    one, two = results
+    assert len(one) == 1 + len(PMamba(np.random.default_rng(5)).parameters())
+    assert one == two
 
 
 def test_environment_does_not_set_the_dtype():

@@ -18,7 +18,7 @@ from pmtk.pmd import (
     pmd_step_fd,
     sobel_magnitude,
 )
-from pmtk.wavelet import SubbandSet, detail_magnitude, dwt2, idwt2
+from pmtk.wavelet import SubbandSet, dwt2, idwt2
 
 from edge_preservation import (
     edge_benchmark,
@@ -28,6 +28,7 @@ from edge_preservation import (
     region_measures,
     two_region_image,
 )
+from subbands import detail_magnitude
 
 
 def noise_field(seed=0, shape=(32, 32)):

@@ -10,7 +10,6 @@ from pmtk.ssm import (
     SsmParams,
     VimBlockWeights,
     loglog_slope,
-    map_to_tokens,
     patch_embed,
     scan_complexity_probe,
     scan_backward_np,
@@ -24,6 +23,15 @@ from pmtk.ssm import (
 
 from dtypes import DTYPES
 from records import RECORD_OVERHEAD, relu_like_gradient, retained_bytes
+
+
+def map_to_tokens(x: T.Tensor) -> tuple:
+    """[Bn,D,h,w] feature map -> ([Bn, h*w, D], (h, w)), row-major; the
+    inverse of ``tokens_to_map``."""
+    if x.ndim != 4:
+        raise DimensionError(f"map_to_tokens: map must be [Bn,D,h,w], got {x.shape}")
+    Bn, D, h, w = x.shape
+    return T.transpose(T.reshape(x, (Bn, D, h * w)), (0, 2, 1)), (h, w)
 
 
 def random_scan_inputs(rng, Bn, L, D, S):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from pmtk.errors import DimensionError
-from pmtk.wavelet import SubbandSet, detail_magnitude, dwt2, idwt2
+from pmtk.wavelet import SubbandSet, dwt2, idwt2
+
+from subbands import detail_magnitude
 
 
 def haar_matrix(h: int, w: int) -> np.ndarray:
