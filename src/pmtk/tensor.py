@@ -571,7 +571,6 @@ def _standardize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     xhat *= gd.astype(np.float64, copy=False)
     xhat += beta.reshape(shape).astype(np.float64, copy=False)
     out = xhat.astype(xd.dtype)
-    del xhat, xw
 
     def bwd(g):
         xhat = xd.astype(np.float64)
