@@ -577,7 +577,7 @@ def _standardize(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
         xhat -= mean
         xhat *= inv
         dxhat = g * gd
-        # n * dxhat - sum(dxhat) stays in the storage dtype, as it always has
+        # n * dxhat - sum(dxhat) runs in the storage dtype, then widens
         dx = n * dxhat
         dx -= dxhat.sum(axis=stat_axes, keepdims=True)
         dx = dx.astype(np.float64, copy=False)
