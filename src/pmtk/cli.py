@@ -33,7 +33,7 @@ DENOISE_MODES = ("fd", "dwt-aswritten", "dwt-attenuate")
 
 
 # argparse dests that differ from their option strings
-_DEST_FLAGS = {"input": "--in", "output": "--out", "out_prefix": "--out-prefix"}
+_DEST_FLAGS = {"input": "--in", "output": "--out"}
 
 
 def write_config(path, args: argparse.Namespace) -> None:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dwt", help="write the four Haar subbands as images")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out-prefix", dest="out_prefix", required=True)
+    p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_dwt)
 
     p = sub.add_parser("synth", help="materialize a synthetic dataset directory")

@@ -123,7 +123,7 @@ def _signed(rng, shape):
 
 
 def _weighted_sum(out, r):
-    return T.tsum(T.mul_const(out, r))
+    return T.tsum(T.mul(out, T.Tensor(r, out.data.dtype)))
 
 
 def _fam_elementwise(rng):

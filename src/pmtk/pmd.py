@@ -23,16 +23,18 @@ attenuate mode and f = m/2 in as-written mode; ll and hh pass through. Per
 block the map on (a, d) and on (b, c) is [[1+f, -f], [-f, 1+f]], which is
 symmetric, so at a fixed gate the step is self-adjoint.
 
-Every wavelet user applies a gate through that one in-place butterfly,
-``_gated``, on four same-shape arrays holding the a, b, c and d entries of the
-blocks. ``pmd_step_dwt`` and the tape op ``pmd_apply`` (forward and backward)
-pass it strided views of a copy of their input (``_blocks``). The denoising
-run, ``denoise_with_log`` without a ``step_fn`` (``pmtk denoise`` in both
-wavelet modes), copies the image once into four contiguous planes
-[4, ..., H/2, W/2] (``_to_planes``), steps the planes in place and writes the
-image back once at the end (``_from_planes``). At 512x512 a step on the
-planes takes about half the time of one on strided views, but the two
-conversions cost more than one step saves, so only a run of many steps
+The block layout belongs to ``wavelet``: ``blocks`` gives the a, b, c and d
+entries as four strided views, and ``merge`` builds an array from four such
+parts. Every wavelet user runs one step, ``_step``, in place on four
+same-shape arrays of block entries; it returns the gate, and its diagonal
+moves are ``_move``, which ``pmd_apply``'s backward reuses. ``pmd_step_dwt``
+and the tape op ``pmd_apply`` pass it the ``blocks`` of a copy of their
+input. The denoising run, ``denoise_with_log`` without a ``step_fn``
+(``pmtk denoise`` in both wavelet modes), copies the image once into four
+contiguous planes [4, ..., H/2, W/2] (``_to_planes``), steps the planes in
+place and ``merge``s them back into the image once at the end. At 512x512 a
+step on the planes takes about half the time of one on strided views, but the
+two conversions cost more than one step saves, so only a run of many steps
 converts.
 
 The fd solver and the denoising log's masks share one forward-difference
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .wavelet import _check_even
+from .wavelet import blocks, merge
 
 MODES = ("as-written", "attenuate")
 
@@ -133,59 +135,51 @@ def pmd_step_fd(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     return u + cfg.dt * div
 
 
-def _blocks(u: np.ndarray) -> tuple:
-    """Views (a, b, c, d) of the entries of each 2x2 block [[a, b], [c, d]].
-
-    Each is [..., H/2, W/2], strided by 2 on the trailing axes of ``u``; odd
-    or sub-2 trailing extents raise DimensionError, as ``wavelet.dwt2`` does.
-    """
-    _check_even(u.shape)
-    return (u[..., 0::2, 0::2], u[..., 0::2, 1::2],
-            u[..., 1::2, 0::2], u[..., 1::2, 1::2])
-
-
 def _gate(p: np.ndarray, q: np.ndarray, k: float) -> np.ndarray:
     """g of the Haar detail magnitude |(lh, hl)| = sqrt((p^2 + q^2)/2)."""
     return diffusivity(np.sqrt((p * p + q * q) * 0.5), k)
 
 
 def _factor(m: np.ndarray, mode: str) -> np.ndarray:
-    """The butterfly's f for gate ``m``: (m - 1)/2 attenuating, m/2 as written."""
+    """The step's f for gate ``m``: (m - 1)/2 attenuating, m/2 as written."""
     return (m - 1.0) * 0.5 if mode == "attenuate" else m * 0.5
 
 
-def _gated(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-           p: np.ndarray, q: np.ndarray, m: np.ndarray, mode: str) -> None:
-    """Scale the Haar detail bands of the blocks by the gate ``m``, in place.
-
-    (a, b, c, d) are the block entries (``_blocks`` or planes of them) and
-    ``(p, q) = (a - d, b - c)`` their diagonal differences, which are
-    overwritten. Applies a += f*p, d -= f*p, b += f*q, c -= f*q, where
-    f = (m - 1)/2 in attenuate mode and m/2 in as-written mode; that equals
-    idwt2 of {ll, m*lh, m*hl, hh}, or u plus idwt2 of {0, m*lh, m*hl, 0}.
-    For a fixed gate the map is symmetric, so it is its own adjoint.
-    """
-    f = _factor(m, mode)
-    p *= f
+def _move(parts, p: np.ndarray, q: np.ndarray) -> None:
+    """Move the diagonal pairs of the blocks ``parts`` = (a, b, c, d) in place:
+    a += p, d -= p, b += q, c -= q."""
+    a, b, c, d = parts
     a += p
     d -= p
-    q *= f
     b += q
     c -= q
 
 
-def _step(blocks, k: float, mode: str) -> None:
-    """One wavelet-domain diffusion step, in place on the blocks (a, b, c, d)."""
-    a, b, c, d = blocks
+def _step(parts, k: float, mode: str) -> np.ndarray:
+    """One wavelet-domain diffusion step, in place on the block entries
+    ``parts`` = (a, b, c, d); returns the gate m.
+
+    With ``(p, q) = (a - d, b - c)`` the diagonal differences, moves the pairs
+    by f*p and f*q (``_move``), where f = (m - 1)/2 in attenuate mode and
+    m/2 in as-written mode. That equals idwt2 of {ll, m*lh, m*hl, hh}, or u
+    plus idwt2 of {0, m*lh, m*hl, 0}. For a fixed gate the map is symmetric,
+    so it is its own adjoint.
+    """
+    a, b, c, d = parts
     p = a - d
     q = b - c
-    _gated(a, b, c, d, p, q, _gate(p, q, k), mode)
+    m = _gate(p, q, k)
+    f = _factor(m, mode)
+    p *= f
+    q *= f
+    _move(parts, p, q)
+    return m
 
 
 def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
     """One wavelet-domain diffusion step on the trailing two axes."""
     out = np.asarray(u).copy()
-    _step(_blocks(out), cfg.k, cfg.mode)
+    _step(blocks(out), cfg.k, cfg.mode)
     return out
 
 
@@ -194,34 +188,21 @@ def pmd_step_dwt(u: np.ndarray, cfg: DiffusionConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _to_planes(u: np.ndarray) -> np.ndarray:
-    """Copy the ``_blocks`` of ``u`` into contiguous planes [4, ..., H/2, W/2]."""
-    return np.stack(_blocks(u))
-
-
-def _from_planes(planes: np.ndarray) -> np.ndarray:
-    """The image whose ``_blocks`` are ``planes``; inverts ``_to_planes``."""
-    h, w = planes.shape[-2:]
-    u = np.empty(planes.shape[1:-2] + (2 * h, 2 * w), planes.dtype)
-    for view, plane in zip(_blocks(u), planes):
-        view[...] = plane
-    return u
+    """Copy the ``blocks`` of ``u`` into contiguous planes [4, ..., H/2, W/2];
+    ``merge`` inverts it."""
+    return np.stack(blocks(u))
 
 
 def _plane_positions(shape: tuple, *index_sets: np.ndarray) -> tuple:
     """Map flat C-order pixel indices of an image of ``shape`` into ``_to_planes``.
 
-    Fold the leading axes into rows. As H is even, pixel (r, c) is entry
-    (r // 2, c // 2) of plane 2*(r % 2) + c % 2, and the planes fold their
-    leading axes the same way. The whole map is built once, read at each
-    index set and dropped on return.
+    ``merge`` of the planes' own flat positions is the image that holds, at
+    each pixel, where ``_to_planes`` puts it. That map is built once, read at
+    each index set and dropped on return.
     """
-    w = shape[-1]
+    h, w = shape[-2:]
     n = int(np.prod(shape))
-    quarter = n // 4
-    rows = np.arange(n // w)
-    cols = np.arange(w)
-    where = (((rows & 1) * (2 * quarter) + (rows >> 1) * (w // 2))[:, None]
-             + ((cols & 1) * quarter + (cols >> 1))).reshape(-1)
+    where = merge(np.arange(n).reshape((4, *shape[:-2], h // 2, w // 2))).reshape(-1)
     return tuple(where[i] for i in index_sets)
 
 
@@ -250,10 +231,11 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
 
     With ``step_fn`` None the wavelet step runs on Haar planes: ``u0`` is
     copied once into ``_to_planes``'s layout, each step updates the planes in
-    place, and the image is written back once at the end. The four index
-    sets are mapped to their plane positions once (``_plane_positions``), so
-    the log gathers the same values in the same order as on the image, and
-    rows and output equal those of ``step_fn=pmd_step_dwt`` bit for bit.
+    place, and ``merge`` writes them back into the image once at the end. The
+    four index sets are mapped to their plane positions once
+    (``_plane_positions``), so the log gathers the same values in the same
+    order as on the image, and rows and output equal those of
+    ``step_fn=pmd_step_dwt`` bit for bit.
     """
     planar = step_fn is None
     u = _to_planes(u0) if planar else u0.copy()
@@ -276,7 +258,7 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
         else:
             u = step_fn(u, cfg)
         rows.append(measure(u, step))
-    return (_from_planes(u) if planar else u), rows
+    return (merge(u) if planar else u), rows
 
 
 # ---------------------------------------------------------------------------
@@ -311,29 +293,26 @@ def sobel_magnitude(x: np.ndarray) -> np.ndarray:
 def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
     """Tape-recorded wavelet diffusion step; the backward is its exact derivative.
 
-    Per 2x2 block the step is the butterfly of ``_gated``: a += f*p,
-    d -= f*p, b += f*q, c -= f*q with f = _factor(m), m = 1/(1 + r2/k^2) and
-    r2 = (p^2 + q^2)/2. At fixed m its transpose is the same butterfly on the
-    block gradients (ga, gb, gc, gd). The gate adds a += e*p, d -= e*p,
-    b += e*q, c -= e*q, where s = p*(ga - gd) + q*(gb - gc) and
-    e = -s*m^2/(2k^2), from df/dm = 1/2 in both modes and dm/dr2 = -m^2/k^2.
-    It is taken through r2, not through the sqrt in ``_gate``, whose slope is
-    infinite at 0. The backward recomputes p and q from ``x.data``, so the
-    record keeps only the gate m.
+    The forward is ``_step`` on the ``blocks`` of a copy of ``x``. Per 2x2
+    block it moves the diagonal pairs: a += f*p, d -= f*p, b += f*q,
+    c -= f*q with f = _factor(m), m = 1/(1 + r2/k^2) and r2 = (p^2 + q^2)/2.
+    At fixed m its transpose is the same move on the block gradients
+    (ga, gb, gc, gd). The gate adds a += e*p, d -= e*p, b += e*q, c -= e*q,
+    where s = p*(ga - gd) + q*(gb - gc) and e = -s*m^2/(2k^2), from
+    df/dm = 1/2 in both modes and dm/dr2 = -m^2/k^2. It is taken through r2,
+    not through the sqrt in ``_gate``, whose slope is infinite at 0. The
+    backward recomputes p and q from ``x.data``, so the record keeps only the
+    gate m that ``_step`` returns.
     """
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     out = x.data.copy()
-    a, b, c, d = _blocks(out)
-    p = a - d
-    q = b - c
-    m = _gate(p, q, k)
-    _gated(a, b, c, d, p, q, m, mode)
+    m = _step(blocks(out), k, mode)
 
     def backward(g):
         gx = g.copy()
-        ga, gb, gc, gd = _blocks(gx)
-        a, b, c, d = _blocks(x.data)
+        ga, gb, gc, gd = parts = blocks(gx)
+        a, b, c, d = blocks(x.data)
         p = a - d
         q = b - c
         u = ga - gd
@@ -347,10 +326,7 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
         u += e * p
         v *= f
         v += e * q
-        ga += u
-        gd -= u
-        gb += v
-        gc -= v
+        _move(parts, u, v)
         return (gx,)
 
     return T.record_op((x,), out, backward)

@@ -249,14 +249,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     return record_op((x,), x.data * c, lambda g: (g * c,))
 
 
-def mul_const(x: Tensor, c: np.ndarray) -> Tensor:
-    """Elementwise product with a fixed array treated as a constant."""
-    c = np.asarray(c, dtype=x.data.dtype)
-    if c.shape != x.shape:
-        raise DimensionError(f"mul_const: shape mismatch {x.shape} vs {c.shape}")
-    return record_op((x,), x.data * c, lambda g: (g * c,))
-
-
 def relu(x: Tensor) -> Tensor:
     # the mask is read off the output, which the next op keeps as its input:
     # max(x, 0) > 0 exactly where x > 0, NaN and -0.0 included

@@ -1,4 +1,4 @@
-"""Single-level 2-D Haar transform, orthonormal convention.
+"""Single-level 2-D Haar transform, orthonormal convention, and its block layout.
 
 Each non-overlapping 2x2 block
 
@@ -12,14 +12,17 @@ maps to four half-resolution coefficients:
     hl = (a + b - c - d) / 2      vertical detail
     hh = (a - b - c + d) / 2      diagonal detail
 
-The 4x4 butterfly behind this is symmetric and orthogonal, hence involutory:
-synthesis applies the very same arithmetic to (ll, lh, hl, hh), and the
-transform is self-adjoint.
+The 4x4 butterfly behind this (``_butterfly``) is symmetric and orthogonal,
+hence involutory: synthesis applies the very same arithmetic to
+(ll, lh, hl, hh), and the transform is self-adjoint.
 
-The diffusion in ``pmd`` does not call these functions: it moves the block
-entries directly, and its backward pass relies on its own per-block map being
-symmetric. This module serves ``pmtk dwt`` and is the subband reference that
-the diffusion tests compare against.
+This module owns the block layout. ``blocks`` gives the entries a, b, c and
+d of every block as four strided views, and ``merge`` builds the array whose
+blocks are four given parts. ``dwt2`` and ``idwt2`` are the butterfly on
+them. The diffusion in ``pmd`` moves the block entries through the same
+``blocks`` and ``merge`` without forming the subbands; this module's
+transforms serve ``pmtk dwt`` and are the subband reference that the
+diffusion tests compare against.
 
 All functions act on the trailing two axes, so channel stacks [B, C, H, W]
 work unchanged. Trailing extents must be even.
@@ -41,28 +44,41 @@ class SubbandSet(NamedTuple):
     hh: np.ndarray
 
 
-def _check_even(shape) -> None:
-    if len(shape) < 2:
-        raise DimensionError(f"need at least 2 axes, got shape {shape}")
-    h, w = shape[-2], shape[-1]
+def blocks(u: np.ndarray) -> tuple:
+    """Views (a, b, c, d) of the entries of each 2x2 block [[a, b], [c, d]].
+
+    Each is [..., H/2, W/2], strided by 2 on the trailing axes of ``u``.
+    Raises DimensionError unless ``u`` has at least 2 axes and both
+    trailing extents are even and >= 2.
+    """
+    if u.ndim < 2:
+        raise DimensionError(f"need at least 2 axes, got shape {u.shape}")
+    h, w = u.shape[-2:]
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise DimensionError(f"trailing extents must be even and >= 2, got {h}x{w}")
+    return (u[..., 0::2, 0::2], u[..., 0::2, 1::2],
+            u[..., 1::2, 0::2], u[..., 1::2, 1::2])
+
+
+def merge(parts) -> np.ndarray:
+    """A new array whose ``blocks`` are ``parts``: four arrays of one shape
+    [..., h, w], or one array [4, ..., h, w]. Inverts ``np.stack(blocks(u))``."""
+    h, w = parts[0].shape[-2:]
+    u = np.empty(parts[0].shape[:-2] + (2 * h, 2 * w), np.result_type(*parts))
+    for view, part in zip(blocks(u), parts):
+        view[...] = part
+    return u
+
+
+def _butterfly(w, x, y, z) -> tuple:
+    """The 4x4 Haar map on block entries or subbands; its own inverse."""
+    return ((w + x + y + z) * 0.5, (w - x + y - z) * 0.5,
+            (w + x - y - z) * 0.5, (w - x - y + z) * 0.5)
 
 
 def dwt2(u: np.ndarray) -> SubbandSet:
     """Analyze ``u`` into four subbands of half the trailing extents."""
-    u = np.asarray(u)
-    _check_even(u.shape)
-    a = u[..., 0::2, 0::2]
-    b = u[..., 0::2, 1::2]
-    c = u[..., 1::2, 0::2]
-    d = u[..., 1::2, 1::2]
-    return SubbandSet(
-        ll=(a + b + c + d) * 0.5,
-        lh=(a - b + c - d) * 0.5,
-        hl=(a + b - c - d) * 0.5,
-        hh=(a - b - c + d) * 0.5,
-    )
+    return SubbandSet(*_butterfly(*blocks(np.asarray(u))))
 
 
 def idwt2(s: SubbandSet) -> np.ndarray:
@@ -71,10 +87,4 @@ def idwt2(s: SubbandSet) -> np.ndarray:
     if not (ll.shape == lh.shape == hl.shape == hh.shape):
         raise DimensionError("subbands must share one shape, got "
                              f"{ll.shape}/{lh.shape}/{hl.shape}/{hh.shape}")
-    out_shape = ll.shape[:-2] + (2 * ll.shape[-2], 2 * ll.shape[-1])
-    u = np.empty(out_shape, dtype=np.result_type(ll, lh, hl, hh))
-    u[..., 0::2, 0::2] = (ll + lh + hl + hh) * 0.5
-    u[..., 0::2, 1::2] = (ll - lh + hl - hh) * 0.5
-    u[..., 1::2, 0::2] = (ll + lh - hl - hh) * 0.5
-    u[..., 1::2, 1::2] = (ll - lh - hl + hh) * 0.5
-    return u
+    return merge(_butterfly(ll, lh, hl, hh))

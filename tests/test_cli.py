@@ -151,6 +151,17 @@ def test_dwt_writes_four_bands(tmp_path, image_file):
         assert img.shape == (1, 16, 16)
 
 
+def test_dwt_config_replay_writes_the_same_bands(tmp_path, image_file):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["dwt", "--in", str(image_file), "--out-prefix", str(a)]) == 0
+    config = Path(f"{a}.config").read_text().split("\n")
+    assert config[config.index("--out-prefix") + 1] == str(a)
+    # replay from the recorded config, overriding only the prefix
+    assert main([f"@{a}.config", "--out-prefix", str(b)]) == 0
+    for band in ("ll", "lh", "hl", "hh"):
+        assert Path(f"{b}_{band}.pgm").read_bytes() == Path(f"{a}_{band}.pgm").read_bytes()
+
+
 def test_synth_creates_loadable_dataset(tmp_path):
     root = tmp_path / "data"
     rc = main(["synth", "--out", str(root), "--count", "12", "--size", "32",

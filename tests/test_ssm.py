@@ -142,7 +142,7 @@ def test_scan_core_batch_items_do_not_interact(reverse):
         tensors = [T.Tensor(a, np.float64) for a in arrs]
         with T.Tape() as tape:
             y = scan_core(*tensors, reverse=reverse)
-            loss = T.tsum(T.mul_const(y, weight))
+            loss = T.tsum(T.mul(y, T.Tensor(weight, np.float64)))
         grads = T.backward(tape, loss)
         return y.data, [T.grad_of(grads, t) for t in tensors]
 
@@ -299,7 +299,7 @@ def test_scan_pair_matches_flip_scan_flip():
     u = T.Tensor(u_np, np.float64)
     with T.Tape() as tape:
         out = vim_scan_pair(u, pf, pb)
-        loss = T.tsum(T.mul_const(out, r))
+        loss = T.tsum(T.mul(out, T.Tensor(r, np.float64)))
     grads = T.backward(tape, loss)
 
     # reference: <r, flip(scan(flip(u)))> = <flip(r), scan(flip(u))>
@@ -307,7 +307,8 @@ def test_scan_pair_matches_flip_scan_flip():
     with T.Tape() as tape:
         yf = selective_scan(u_ref, pf)
         yb = selective_scan(u_flip, pb)
-        loss = T.add(T.tsum(T.mul_const(yf, r)), T.tsum(T.mul_const(yb, r[:, ::-1])))
+        loss = T.add(T.tsum(T.mul(yf, T.Tensor(r, np.float64))),
+                     T.tsum(T.mul(yb, T.Tensor(r[:, ::-1], np.float64))))
     ref = T.backward(tape, loss)
 
     np.testing.assert_allclose(out.data, yf.data + yb.data[:, ::-1], rtol=0, atol=1e-12)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pmtk.errors import DimensionError
-from pmtk.wavelet import SubbandSet, dwt2, idwt2
+from pmtk.wavelet import SubbandSet, blocks, dwt2, idwt2, merge
 
 from subbands import detail_magnitude
 
@@ -116,10 +116,29 @@ def test_detail_magnitude_ignores_hh():
     np.testing.assert_allclose(detail_magnitude(s), 5.0)
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 4), (4,), (5, 5)])
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 4), (4,), (5, 5), (0, 4), (4, 0)])
 def test_odd_or_short_extents_rejected(shape):
-    with pytest.raises(DimensionError):
-        dwt2(np.zeros(shape))
+    for fn in (dwt2, blocks):
+        with pytest.raises(DimensionError):
+            fn(np.zeros(shape))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 2), (6, 8), (2, 3, 8, 6)])
+def test_merge_inverts_blocks(shape, dtype):
+    u = np.random.default_rng(5).standard_normal(shape).astype(dtype)
+    got = merge(blocks(u))
+    assert got.dtype == u.dtype
+    assert got.tobytes() == u.tobytes()
+
+
+def test_merge_of_planes_is_a_new_array():
+    u = np.arange(48.0).reshape(6, 8)
+    planes = np.stack(blocks(u))
+    got = merge(planes)
+    assert not np.shares_memory(got, planes)
+    assert not np.shares_memory(got, u)
+    np.testing.assert_array_equal(got, u)
 
 
 def test_mismatched_subband_shapes_rejected():
