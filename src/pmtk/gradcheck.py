@@ -33,8 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .model import MICRO_PLAN, PMamba, total_loss
-from .pmd import PmdBlock, pmd_apply
+from .model import MICRO_PLAN, PMamba, PmdBlock, total_loss
+from .pmd import pmd_apply
 from .ssm import VimBlockWeights, scan_core, vim_block
 from .tensor import Tape, Tensor, backward, grad_of
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DataError, DimensionError, DivergenceError
-from .pmd import PmdBlock
+from .pmd import pmd_apply, sobel_magnitude
 from .ssm import PatchEmbed, VimBlockWeights, tokens_to_map, vim_block
 
 
@@ -38,6 +38,9 @@ PATCH_SIZES = (4, 2, 2, 2)
 TOTAL_STRIDE = math.prod(PATCH_SIZES)
 STATE_DIM = 8
 HEAD_WIDTH = 32
+# contrast constant of the diffusion step inside every PmdBlock
+BLOCK_K = 1.0
+PREPROCESS = ("dwt", "none", "sobel")
 # cross-entropy weight of each head's output in total_loss, in tape order
 LOSS_WEIGHTS = {"prim": 1.0, "fcn": 0.4, "pmd": 0.4, "vim": 0.4}
 
@@ -61,18 +64,65 @@ MICRO_PLAN = StagePlan(widths=(4, 8, 16, 32))
 # Branches
 # ---------------------------------------------------------------------------
 
-class _ConvNormRelu(T.Module):
-    """3x3 convolution with padding 1, then norm and relu."""
+class ConvNorm(T.Module):
+    """k x k convolution with zero padding k // 2, then norm_affine."""
 
-    def __init__(self, rng, c_in, c_out, stride=1):
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
+                 k: int = 3, stride: int = 1):
         self.stride = stride
-        self.w = T.uniform_param(rng, (c_out, c_in, 3, 3), c_in * 9)
+        self.w = T.uniform_param(rng, (c_out, c_in, k, k), c_in * k * k)
         self.g = T.Parameter(np.ones(c_out))
         self.b = T.zeros_param((c_out,))
 
-    def __call__(self, x):
-        return T.relu(T.norm_affine(T.conv2d(x, self.w, self.stride, 1),
-                                    self.g, self.b))
+    def __call__(self, x: T.Tensor) -> T.Tensor:
+        y = T.conv2d(x, self.w, self.stride, self.w.shape[-1] // 2)
+        return T.norm_affine(y, self.g, self.b)
+
+
+class _ConvNormRelu(ConvNorm):
+    """ConvNorm, then relu."""
+
+    def __call__(self, x: T.Tensor) -> T.Tensor:
+        return T.relu(super().__call__(x))
+
+
+class PmdBlock(T.Module):
+    """Diffusion preprocessing + two-conv residual unit.
+
+    Layout: h = preprocess(x); y = relu(conv2(conv1(h)) + skip(h)), where
+    conv1 (a ``_ConvNormRelu``) carries any stride or width change, conv2 is
+    a ``ConvNorm``, and skip is a 1x1 ``ConvNorm`` whenever the shape
+    changes, else the identity (``None``). ``preprocess`` selects the wavelet
+    diffusion step, identity, or a concatenated Sobel magnitude feature
+    (which doubles conv1's input width).
+    """
+
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
+                 stride: int = 1, preprocess: str = "dwt"):
+        if preprocess not in PREPROCESS:
+            raise ConfigError(f"preprocess must be one of {PREPROCESS}, got {preprocess!r}")
+        self.preprocess = preprocess
+        c_eff = c_in * (2 if preprocess == "sobel" else 1)
+        self.conv1 = _ConvNormRelu(rng, c_eff, c_out, stride=stride)
+        self.conv2 = ConvNorm(rng, c_out, c_out)
+        self.skip = (ConvNorm(rng, c_eff, c_out, k=1, stride=stride)
+                     if stride != 1 or c_eff != c_out else None)
+
+    def __call__(self, x: T.Tensor) -> T.Tensor:
+        if self.preprocess == "dwt":
+            # The Haar step needs even extents. Odd maps (the 1/32 stage is
+            # 1x1 in MICRO_PLAN at 32 and 3x3 at 96) have no whole 2x2
+            # blocks to diffuse; pass them through.
+            odd = x.shape[-1] % 2 or x.shape[-2] % 2
+            h = x if odd else pmd_apply(x, BLOCK_K, "attenuate")
+        elif self.preprocess == "sobel":
+            # The gradient feature is a fresh constant tensor: gradients reach
+            # x only through the identity slice of the concat.
+            h = T.concat([x, T.Tensor(sobel_magnitude(x.data), x.data.dtype)], axis=-3)
+        else:
+            h = x
+        y = self.conv2(self.conv1(h))
+        return T.relu(T.add(y, h if self.skip is None else self.skip(h)))
 
 
 class PmdBranch(T.Module):

@@ -43,9 +43,9 @@ at the edge pixels only, through the neighbour indices of
 ``_forward_neighbours``, mapped to plane positions (``_plane_positions``) when
 the run is on planes.
 
-``PmdBlock`` wraps one wavelet diffusion step ahead of a two-conv residual
-unit. Its backward is the derivative of the step, gate included
-(``pmd_apply``).
+``pmd_apply`` is the wavelet step as a tape op, whose backward is the
+derivative of the step, gate included; ``model.PmdBlock`` runs it ahead of
+its convolutions.
 """
 
 from __future__ import annotations
@@ -262,7 +262,7 @@ def denoise_with_log(u0: np.ndarray, cfg: DiffusionConfig, step_fn=None) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# Tape-side diffusion and the residual block
+# Sobel edge feature and tape-side diffusion
 # ---------------------------------------------------------------------------
 
 def sobel_magnitude(x: np.ndarray) -> np.ndarray:
@@ -331,63 +331,3 @@ def pmd_apply(x: T.Tensor, k: float = 1.0, mode: str = "attenuate") -> T.Tensor:
 
     return T.record_op((x,), out, backward)
 
-
-PREPROCESS = ("dwt", "none", "sobel")
-# contrast constant of the diffusion step inside every PmdBlock
-BLOCK_K = 1.0
-
-
-class PmdBlock(T.Module):
-    """Diffusion preprocessing + two-conv residual unit.
-
-    Layout: h = preprocess(x); y = relu(norm2(conv2(relu(norm1(conv1(h)))))
-    + skip(h)), with conv1 carrying any stride/width change and skip a 1x1
-    projection (plus norm) whenever shape changes. ``preprocess`` selects the
-    wavelet diffusion step, identity, or a concatenated Sobel magnitude
-    feature (which doubles conv1's input width).
-    """
-
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
-                 stride: int = 1, preprocess: str = "dwt"):
-        if preprocess not in PREPROCESS:
-            raise ConfigError(f"preprocess must be one of {PREPROCESS}, got {preprocess!r}")
-        self.stride = stride
-        self.preprocess = preprocess
-        c_eff = c_in * (2 if preprocess == "sobel" else 1)
-        self.w1 = T.uniform_param(rng, (c_out, c_eff, 3, 3), c_eff * 9)
-        self.g1 = T.Parameter(np.ones(c_out))
-        self.b1 = T.zeros_param((c_out,))
-        self.w2 = T.uniform_param(rng, (c_out, c_out, 3, 3), c_out * 9)
-        self.g2 = T.Parameter(np.ones(c_out))
-        self.b2 = T.zeros_param((c_out,))
-        if stride != 1 or c_eff != c_out:
-            self.wp = T.uniform_param(rng, (c_out, c_eff, 1, 1), c_eff)
-            self.gp = T.Parameter(np.ones(c_out))
-            self.bp = T.zeros_param((c_out,))
-        else:
-            self.wp = None
-
-    def __call__(self, x: T.Tensor) -> T.Tensor:
-        if self.preprocess == "dwt":
-            # Maps below 2x2 (deepest stage of very small inputs) have no
-            # detail bands to diffuse; pass them through.
-            if x.shape[-1] < 2 or x.shape[-2] < 2:
-                h = x
-            else:
-                h = pmd_apply(x, BLOCK_K, "attenuate")
-        elif self.preprocess == "sobel":
-            # The gradient feature is a fresh constant tensor: gradients reach
-            # x only through the identity slice of the concat.
-            h = T.concat([x, T.Tensor(sobel_magnitude(x.data), x.data.dtype)], axis=-3)
-        else:
-            h = x
-        y = T.conv2d(h, self.w1, stride=self.stride, pad=1)
-        y = T.relu(T.norm_affine(y, self.g1, self.b1))
-        y = T.conv2d(y, self.w2, stride=1, pad=1)
-        y = T.norm_affine(y, self.g2, self.b2)
-        if self.wp is not None:
-            skip = T.norm_affine(T.conv2d(h, self.wp, stride=self.stride, pad=0),
-                                 self.gp, self.bp)
-        else:
-            skip = h
-        return T.relu(y + skip)

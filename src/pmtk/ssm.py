@@ -186,27 +186,24 @@ class PatchEmbed(T.Module):
         self.E_pos = T.zeros_param((grid[0] * grid[1], d))
 
     def __call__(self, x: T.Tensor) -> T.Tensor:
-        return patch_embed(x, self.n, self.W_proj, self.E_pos)
+        """[Bn,C,H,W] -> [Bn, M, D] tokens; patches enumerated row-major.
 
-
-def patch_embed(x: T.Tensor, n: int, W_proj: T.Tensor, E_pos: T.Tensor) -> T.Tensor:
-    """[Bn,C,H,W] -> [Bn, M, D] tokens; patches enumerated row-major.
-
-    Each patch is flattened in [C, n, n] row-major order before projection.
-    """
-    if x.ndim != 4:
-        raise DimensionError(f"patch_embed: map must be [Bn,C,H,W], got {x.shape}")
-    Bn, C, H, W = x.shape
-    if H % n or W % n:
-        raise DimensionError(f"patch_embed: {H}x{W} not divisible by patch size {n}")
-    h, w = H // n, W // n
-    if E_pos.shape != (h * w, W_proj.shape[1]):
-        raise DimensionError(f"patch_embed: E_pos shape {E_pos.shape} does not match "
-                             f"grid {h}x{w} and width {W_proj.shape[1]}")
-    t = T.reshape(x, (Bn, C, h, n, w, n))
-    t = T.transpose(t, (0, 2, 4, 1, 3, 5))          # [Bn,h,w,C,n,n]
-    t = T.reshape(t, (Bn, h * w, C * n * n))
-    return T.add_bcast(T.linear(t, W_proj), E_pos)
+        Each patch is flattened in [C, n, n] row-major order before projection.
+        """
+        if x.ndim != 4:
+            raise DimensionError(f"PatchEmbed: map must be [Bn,C,H,W], got {x.shape}")
+        Bn, C, H, W = x.shape
+        n = self.n
+        if H % n or W % n:
+            raise DimensionError(f"PatchEmbed: {H}x{W} not divisible by patch size {n}")
+        h, w = H // n, W // n
+        if h * w != len(self.E_pos.data):
+            raise DimensionError(f"PatchEmbed: {H}x{W} makes {h}x{w} patches, but the "
+                                 f"positions were built for {len(self.E_pos.data)}")
+        t = T.reshape(x, (Bn, C, h, n, w, n))
+        t = T.transpose(t, (0, 2, 4, 1, 3, 5))          # [Bn,h,w,C,n,n]
+        t = T.reshape(t, (Bn, h * w, C * n * n))
+        return T.add_bcast(T.linear(t, self.W_proj), self.E_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +242,9 @@ def vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
     u = T.linear(Xn, w.W_in, w.b_in)
     z = T.linear(Xn, w.W_gate, w.b_gate)
     u = T.silu(T.depthwise_conv1d(u, w.conv_w, w.conv_b))
-    pre_gate = vim_scan_pair(u, w.fwd, w.bwd)
+    pre_gate = T.add(selective_scan(u, w.fwd), selective_scan(u, w.bwd, reverse=True))
     y = T.mul(pre_gate, T.silu(z))
-    return T.linear(y, w.W_out, w.b_out) + X
-
-
-def vim_scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:
-    """Sum of the forward scan and the reversed scan of [Bn, L, D]."""
-    return selective_scan(u, p_fwd) + selective_scan(u, p_bwd, reverse=True)
+    return T.add(T.linear(y, w.W_out, w.b_out), X)
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # `a + b` routes through the recorded `add` primitive below.
-    def __add__(self, other):
-        return add(self, other)
-
 
 class Parameter(Tensor):
     """A tensor updated by the optimizer; distinguished only by type."""

@@ -17,12 +17,14 @@ from pmtk import tensor as T
 from pmtk.data import Sample, SynthConfig, synth_generate
 from pmtk.errors import ConfigError, DimensionError, DivergenceError
 from pmtk.model import (
+    BLOCK_K,
     LOSS_WEIGHTS,
     MICRO_PLAN,
     PATCH_SIZES,
     TOTAL_STRIDE,
     AblateConfig,
     PMamba,
+    PmdBlock,
     SegHead,
     StagePlan,
     TrainConfig,
@@ -34,6 +36,7 @@ from pmtk.model import (
     total_loss,
     train_toy,
 )
+from pmtk.pmd import pmd_apply
 from pmtk.serialize import load_checkpoint, restore_into, save_checkpoint
 
 from dtypes import DTYPES
@@ -78,6 +81,57 @@ def test_parameter_count_stable():
     # frozen once from the default plan; drift means an architecture change
     model = PMamba(np.random.default_rng(0), StagePlan(), size=64)
     assert model.parameter_count() == 2180656
+
+
+# ---------------------------------------------------------------------------
+# Residual block
+# ---------------------------------------------------------------------------
+
+def test_block_shapes_and_stride():
+    rng = np.random.default_rng(0)
+    x = T.Tensor(rng.standard_normal((2, 3, 16, 16)))
+    same = PmdBlock(rng, 3, 3)
+    down = PmdBlock(rng, 3, 8, stride=2)
+    assert same(x).shape == (2, 3, 16, 16)
+    assert down(x).shape == (2, 8, 8, 8)
+
+
+@pytest.mark.parametrize("preprocess", ["dwt", "none", "sobel"])
+def test_block_preprocess_variants_run(preprocess):
+    rng = np.random.default_rng(1)
+    x = T.Tensor(rng.standard_normal((1, 2, 8, 8)))
+    block = PmdBlock(rng, 2, 4, stride=2, preprocess=preprocess)
+    assert block(x).shape == (1, 4, 4, 4)
+
+
+def test_block_rejects_unknown_preprocess():
+    with pytest.raises(ConfigError):
+        PmdBlock(np.random.default_rng(0), 2, 2, preprocess="fft")
+
+
+def test_block_is_relu_of_two_convs_plus_projected_skip():
+    # h = diffusion(x); relu(norm(conv(relu(norm(conv(h))))) + norm(conv1x1(h)))
+    rng = np.random.default_rng(2)
+    blk = PmdBlock(rng, 3, 5, stride=2).astype(np.float64)
+    x = T.Tensor(rng.standard_normal((2, 3, 8, 8)), np.float64)
+    c1, c2, sk = blk.conv1, blk.conv2, blk.skip
+    assert [name for name, _ in blk.named_parameters()] == [
+        f"{unit}.{p}" for unit in ("conv1", "conv2", "skip") for p in "wgb"]
+    assert sk.w.shape == (5, 3, 1, 1)
+    h = pmd_apply(x, BLOCK_K, "attenuate")
+    y = T.relu(T.norm_affine(T.conv2d(h, c1.w, 2, 1), c1.g, c1.b))
+    y = T.norm_affine(T.conv2d(y, c2.w, 1, 1), c2.g, c2.b)
+    skip = T.norm_affine(T.conv2d(h, sk.w, 2, 0), sk.g, sk.b)
+    np.testing.assert_array_equal(blk(x).data, T.relu(T.add(y, skip)).data)
+
+
+def test_block_of_unchanged_shape_adds_its_input():
+    rng = np.random.default_rng(3)
+    blk = PmdBlock(rng, 4, 4, preprocess="none").astype(np.float64)
+    assert blk.skip is None
+    x = T.Tensor(rng.standard_normal((2, 4, 6, 6)), np.float64)
+    want = T.relu(T.add(blk.conv2(blk.conv1(x)), x)).data
+    np.testing.assert_array_equal(blk(x).data, want)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +191,10 @@ def test_predict_returns_label_maps():
     assert set(np.unique(masks)) <= {0, 1}
 
 
-@pytest.mark.parametrize("plan, batch, size", [(MICRO_PLAN, 3, 32), (StagePlan(), 1, 64)],
-                         ids=["micro-b3-32", "default-b1-64"])
+# at 96 the 1/32 maps are 3x3, which have no whole Haar blocks to diffuse
+@pytest.mark.parametrize("plan, batch, size",
+                         [(MICRO_PLAN, 3, 32), (StagePlan(), 1, 64), (MICRO_PLAN, 1, 96)],
+                         ids=["micro-b3-32", "default-b1-64", "micro-b1-96"])
 def test_predict_is_argmax_of_full_forward_primary_head(plan, batch, size):
     model = PMamba(np.random.default_rng(4), plan, size=size)
     x = np.random.default_rng(5).standard_normal((batch, 1, size, size))

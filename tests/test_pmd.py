@@ -7,7 +7,6 @@ from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
 from pmtk.pmd import (
     DiffusionConfig,
-    PmdBlock,
     _forward_diff,
     _forward_neighbours,
     _measurement_masks,
@@ -422,28 +421,3 @@ def test_pmd_apply_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         pmd_apply(T.Tensor(np.zeros((4, 4))), mode="melt")
 
-
-# ---------------------------------------------------------------------------
-# Residual block
-# ---------------------------------------------------------------------------
-
-def test_block_shapes_and_stride():
-    rng = np.random.default_rng(0)
-    x = T.Tensor(rng.standard_normal((2, 3, 16, 16)))
-    same = PmdBlock(rng, 3, 3)
-    down = PmdBlock(rng, 3, 8, stride=2)
-    assert same(x).shape == (2, 3, 16, 16)
-    assert down(x).shape == (2, 8, 8, 8)
-
-
-@pytest.mark.parametrize("preprocess", ["dwt", "none", "sobel"])
-def test_block_preprocess_variants_run(preprocess):
-    rng = np.random.default_rng(1)
-    x = T.Tensor(rng.standard_normal((1, 2, 8, 8)))
-    block = PmdBlock(rng, 2, 4, stride=2, preprocess=preprocess)
-    assert block(x).shape == (1, 4, 4, 4)
-
-
-def test_block_rejects_unknown_preprocess():
-    with pytest.raises(ConfigError):
-        PmdBlock(np.random.default_rng(0), 2, 2, preprocess="fft")

@@ -10,7 +10,6 @@ from pmtk.ssm import (
     SsmParams,
     VimBlockWeights,
     loglog_slope,
-    patch_embed,
     scan_complexity_probe,
     scan_backward_np,
     scan_core,
@@ -18,7 +17,6 @@ from pmtk.ssm import (
     selective_scan,
     tokens_to_map,
     vim_block,
-    vim_scan_pair,
 )
 
 from dtypes import DTYPES
@@ -241,8 +239,8 @@ _UNBATCHED_CALLS = {
                                              SsmParams(np.random.default_rng(0), d=3)),
     "map_to_tokens": lambda: map_to_tokens(T.Tensor(np.zeros((2, 2, 2)))),
     "tokens_to_map": lambda: tokens_to_map(T.Tensor(np.zeros((4, 2))), (2, 2)),
-    "patch_embed": lambda: patch_embed(T.Tensor(np.zeros((3, 4, 4))), 2,
-                                       T.Tensor(np.zeros((12, 5))), T.Tensor(np.zeros((4, 5)))),
+    "patch_embed": lambda: PatchEmbed(np.random.default_rng(0), 2, 3, 5, (2, 2))(
+        T.Tensor(np.zeros((3, 4, 4)))),
 }
 
 
@@ -275,6 +273,11 @@ def test_vim_block_rejects_wrong_width():
         vim_block(T.Tensor(np.zeros((2, 6, 5))), w)
 
 
+def scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:
+    """The sum of a forward and a reversed scan, as ``vim_block`` forms it."""
+    return T.add(selective_scan(u, p_fwd), selective_scan(u, p_bwd, reverse=True))
+
+
 def test_scan_pair_on_palindrome_is_palindromic():
     # same parameters both directions + mirror-symmetric input means the
     # two scans are mirror images, so their sum must be as well
@@ -282,7 +285,7 @@ def test_scan_pair_on_palindrome_is_palindromic():
     p = SsmParams(rng, d=2, s=3).astype(np.float64)
     half = rng.standard_normal((1, 4, 2))
     u = T.Tensor(np.concatenate([half, half[:, ::-1]], axis=1), np.float64)
-    out = vim_scan_pair(u, p, p).data
+    out = scan_pair(u, p, p).data
     np.testing.assert_allclose(out, out[:, ::-1], atol=1e-12)
 
 
@@ -298,7 +301,7 @@ def test_scan_pair_matches_flip_scan_flip():
 
     u = T.Tensor(u_np, np.float64)
     with T.Tape() as tape:
-        out = vim_scan_pair(u, pf, pb)
+        out = scan_pair(u, pf, pb)
         loss = T.tsum(T.mul(out, T.Tensor(r, np.float64)))
     grads = T.backward(tape, loss)
 
@@ -355,29 +358,20 @@ def test_tokens_to_map_checks_count():
 def test_unit_patch_identity_projection_equals_token_view():
     rng = np.random.default_rng(9)
     x = T.Tensor(rng.standard_normal((1, 3, 4, 4)), np.float64)
-    W = T.Tensor(np.eye(3), np.float64)
-    E = T.Tensor(np.zeros((16, 3)), np.float64)
-    got = patch_embed(x, 1, W, E)
+    embed = PatchEmbed(rng, n=1, c_in=3, d=3, grid=(4, 4)).astype(np.float64)
+    embed.W_proj.data[...] = np.eye(3)
+    got = embed(x)
     tokens, _ = map_to_tokens(x)
     np.testing.assert_allclose(got.data, tokens.data, atol=1e-14)
 
 
 def test_patch_embed_divisibility_and_pos_checks():
-    x = T.Tensor(np.zeros((1, 2, 6, 6)))
-    W = T.Tensor(np.zeros((2 * 4, 3)))
-    with pytest.raises(DimensionError):
-        patch_embed(x, 4, W, T.Tensor(np.zeros((4, 3))))
-    W2 = T.Tensor(np.zeros((2 * 9, 3)))
-    with pytest.raises(DimensionError):
-        patch_embed(x, 3, W2, T.Tensor(np.zeros((9, 5))))
-
-
-def test_patch_embed_module_matches_function():
     rng = np.random.default_rng(10)
-    mod = PatchEmbed(rng, n=2, c_in=3, d=6, grid=(4, 4))
-    x = T.Tensor(np.random.default_rng(11).standard_normal((1, 3, 8, 8)))
-    np.testing.assert_array_equal(mod(x).data,
-                                  patch_embed(x, 2, mod.W_proj, mod.E_pos).data)
+    x = T.Tensor(np.zeros((1, 2, 6, 6)))
+    with pytest.raises(DimensionError):  # 6 is not a multiple of 4
+        PatchEmbed(rng, n=4, c_in=2, d=3, grid=(1, 1))(x)
+    with pytest.raises(DimensionError):  # a 2x2 grid of patches, built for 3x3
+        PatchEmbed(rng, n=3, c_in=2, d=3, grid=(3, 3))(x)
 
 
 # ---------------------------------------------------------------------------
