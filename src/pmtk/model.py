@@ -451,12 +451,16 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                     grads = T.backward(tape, loss)
                     norm = _grad_norm(opt.params, grads)
                 # a finite loss can still have a non-finite gradient, which
-                # the step would write into the weights
-                bad = _first_non_finite_grad(model, grads)
-                if bad is not None:
-                    raise DivergenceError(
-                        f"non-finite gradient at epoch {epoch}, batch {batches}: {bad} "
-                        f"(loss {loss.item()}); lower the learning rate (lr {cfg.lr})")
+                # the step would write into the weights; a finite f64 sum of
+                # squares has only finite terms, so only a non-finite norm
+                # needs the scan (it may also be a finite sum that overflowed)
+                if not math.isfinite(norm):
+                    bad = _first_non_finite_grad(model, grads)
+                    if bad is not None:
+                        raise DivergenceError(
+                            f"non-finite gradient at epoch {epoch}, batch {batches}: "
+                            f"{bad} (loss {loss.item()}); lower the learning rate "
+                            f"(lr {cfg.lr})")
                 grad_norm = max(grad_norm, norm)
                 opt.step(grads)
                 for key in sums:

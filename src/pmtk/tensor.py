@@ -18,11 +18,14 @@ no earlier record on the tape produced) is its own key, and the tape keeps
 it. Code that needs a record's arrays reads them in ``record``, from a
 ``Tape`` subclass, as ``FiniteCheck`` does.
 
-The reverse sweep keeps only its frontier: a record's output gradient is
-dropped as soon as that record's closure has consumed it, so the map that
-``backward`` returns holds the leaves alone. Gradients are passed around
-without copies, so a closure never writes into its incoming gradient ``g``
-(it arrives read-only); it may return ``g`` or views of it.
+The reverse sweep consumes its tape and keeps only its frontier. Each record
+is taken off the tape before its closure runs, so the closure and every
+array only it reads are freed as soon as its input gradients are routed; a
+swept tape cannot be swept again. A record's output gradient is dropped as
+soon as that record's closure has consumed it, so the map that ``backward``
+returns holds the leaves alone. Gradients are passed around without copies,
+so a closure never writes into its incoming gradient ``g`` (it arrives
+read-only); it may return ``g`` or views of it.
 
 Every layout-aware primitive takes a leading batch axis: feature maps are
 [B,C,H,W] and token sequences are [B,L,D]. A single image or sequence is a
@@ -93,6 +96,8 @@ class Tape:
     ``backward`` visits the records strictly in reverse of recording order and
     accumulates gradients in a map by key. Tensors that do not lie on a path
     to the loss simply never appear in the map (their gradient is zero).
+    The sweep consumes the tape: it frees each record as it runs, and leaves
+    the tape empty. Read a tape's records before sweeping it.
     """
 
     def __init__(self):
@@ -172,6 +177,11 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """Reverse sweep; returns a map from each leaf (a tensor no record on
     ``tape`` produced) on a path to the loss to its gradient.
 
+    The sweep consumes ``tape``: it takes the records off the tape and pops
+    each one before its closure runs, so the closure and the arrays only it
+    reads are freed once its input gradients are routed. The tape is left
+    empty, and a second sweep of it raises UsageError.
+
     Gradients are routed by record key (``Tape``), and the map holds only
     the frontier: a record's output gradient is popped when its record
     consumes it, so no dead gradient outlives its use. Each closure gets its
@@ -183,11 +193,17 @@ def backward(tape: Tape, loss: Tensor) -> dict:
     """
     if loss.size != 1:
         raise UsageError(f"backward expects a scalar loss, got shape {loss.shape}")
+    # records were made but none is left: an earlier sweep consumed them
+    if tape._produced and not tape._records:
+        raise UsageError("backward: this tape was already swept; "
+                         "record the forward on a new tape")
     dtype = loss.data.dtype
     start = tape.key(loss)
     grads: dict = {start: np.ones_like(loss.data)}
     owned = {start}                    # entries only this sweep can reach
-    for in_keys, out_key, backward_fn in reversed(tape._records):
+    records, tape._records = tape._records, []
+    while records:
+        in_keys, out_key, backward_fn = records.pop()
         g = grads.pop(out_key, None)
         if g is None:
             continue

@@ -1,6 +1,7 @@
 """Model assembly, loss/metric contracts, and a tiny end-to-end fit."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -35,6 +36,7 @@ from pmtk.model import (
     predict,
     total_loss,
     train_toy,
+    _grad_norm,
 )
 from pmtk.pmd import pmd_apply
 from pmtk.serialize import load_checkpoint, restore_into, save_checkpoint
@@ -306,6 +308,23 @@ def test_train_toy_raises_on_non_finite_gradient_of_finite_loss():
         train_toy(samples, [], cfg)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_grad_norm_is_non_finite_when_any_gradient_is(mode, bad):
+    # train_toy names the non-finite gradient only when the norm is
+    # non-finite: one non-finite term must make the f64 sum of squares so,
+    # among large finite terms (the largest f32 squares to 1.2e77)
+    dtype = DTYPES[mode]
+    params = [T.Parameter(np.zeros(6), dtype) for _ in range(3)]
+    big = np.finfo(dtype).max if dtype == np.float32 else 1e150
+    finite = {params[0]: np.full(6, big, dtype)}
+    g = np.full(6, big, dtype)
+    g[4] = bad
+    assert math.isfinite(_grad_norm(params, finite))
+    with np.errstate(all="ignore"):
+        assert not math.isfinite(_grad_norm(params, {**finite, params[2]: g}))
+
+
 class OutputDtypes(T.Tape):
     """A tape that collects the dtype of every record's output: a record
     keeps its output's key, not the array."""
@@ -332,12 +351,15 @@ def test_dtype_follows_the_parameters(mode):
     opt = T.Momentum(model.parameters(), lr=0.025)
     with OutputDtypes() as tape:
         loss, _ = total_loss(model(T.Tensor(x, dtype)), target)
+    # the sweep consumes the tape, so its length is read before it
+    records = len(tape)
     grads = T.backward(tape, loss)
     opt.step(grads)
     with OutputDtypes() as predict_tape:
         predict(model, x)
+    assert records > 0
+    assert len(predict_tape) > 0
     for recorded in (tape, predict_tape):
-        assert len(recorded) > 0
         assert recorded.dtypes == {np.dtype(dtype)}
     assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
     assert {p.data.dtype for p in model.parameters()} == {np.dtype(dtype)}
@@ -364,6 +386,27 @@ def test_training_step_tape_stays_under_40_mb():
         tracemalloc.stop()
     assert len(tape) > 0
     assert kept <= 40e6
+
+
+def test_training_step_peak_stays_under_45_mb():
+    # The same step, traced from just before its forward through its
+    # backward. A sweep that kept every record until it returned peaked at
+    # 52.3 MB, 12 MB above the forward's end; one that frees each record as
+    # it runs peaks at 40.8 MB and leaves the tape empty.
+    rng = np.random.default_rng(8)
+    model = PMamba(rng, StagePlan(), size=64)
+    x = rng.uniform(0.0, 1.0, (8, 1, 64, 64))
+    target = rng.integers(0, 2, (8, 64, 64))
+    tracemalloc.start()
+    try:
+        with T.Tape() as tape:
+            loss, _ = total_loss(model(T.Tensor(x)), target)
+        T.backward(tape, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 0
+    assert peak <= 45e6
 
 
 def test_seg_head_equals_classify_after_upsample_in_f64():

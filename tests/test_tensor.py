@@ -8,13 +8,14 @@ dtype) and the couple of ops whose values are easy to verify by hand.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from pmtk import model as M
 from pmtk import tensor as T
-from pmtk.errors import DataError, DimensionError, DivergenceError
+from pmtk.errors import DataError, DimensionError, DivergenceError, UsageError
 
 from dtypes import DTYPES
 from records import RECORD_OVERHEAD, kept_bytes, relu_like_gradient, retained_bytes
@@ -122,6 +123,45 @@ def test_closure_writing_into_its_gradient_raises():
         T.backward(tape, loss)
 
 
+def test_backward_consumes_its_tape():
+    # sweeping the emptied record list again would silently return only the
+    # loss's seed gradient
+    x = T.Tensor([1.0, 2.0])
+    with T.Tape() as tape:
+        loss = T.tsum(T.mul(x, x))
+    assert len(tape) == 2
+    grads = T.backward(tape, loss)
+    assert len(tape) == 0
+    assert list(tape) == []
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+    with pytest.raises(UsageError, match="already swept"):
+        T.backward(tape, loss)
+
+
+def test_backward_frees_each_record_before_running_the_one_before_it():
+    def times(t, c):
+        return T.record_op((t,), t.data * c, lambda g: (g * c,))
+
+    seen = []
+
+    def first(g):
+        seen.append(alive())
+        return (g,)
+
+    x = T.Tensor([1.0, 2.0])
+    c = np.full(2, 3.0)
+    alive = weakref.ref(c)
+    with T.Tape() as tape:
+        y = T.record_op((x,), x.data.copy(), first)
+        loss = T.tsum(times(y, c))
+    del c
+    grads = T.backward(tape, loss)
+    # only the later record's closure held c, and it was freed before the
+    # first record's closure ran
+    assert seen == [None]
+    np.testing.assert_array_equal(grads[x], [3.0, 3.0])
+
+
 def reference_backward(tape, loss):
     """The copy-everything sweep: every gradient, a copy of each first
     arrival, kept until the end, by record key."""
@@ -156,9 +196,10 @@ def micro_training_tape(dtype=np.float32):
 def test_backward_equals_copy_everything_sweep_bit_for_bit(mode):
     tape, loss = micro_training_tape(DTYPES[mode])
     assert loss.data.dtype == DTYPES[mode]
+    # the sweep consumes the tape, so its keys are read before it
+    produced = {out_key for _, out_key, _ in tape}
     ref = reference_backward(tape, loss)
     grads = T.backward(tape, loss)
-    produced = {out_key for _, out_key, _ in tape}
     leaves = {key for key in ref if key not in produced}
     assert all(isinstance(t, T.Tensor) for t in leaves)
     assert set(grads) == leaves
