@@ -6,6 +6,7 @@ import pytest
 from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
 from pmtk.ssm import (
+    CHUNK,
     PatchEmbed,
     SsmParams,
     VimBlockWeights,
@@ -65,7 +66,7 @@ def scan_sequential(u, delta, A, B, C, Dskip):
 def test_vectorized_matches_sequential(dims):
     rng = np.random.default_rng(sum(dims))
     args = random_scan_inputs(rng, *dims)
-    np.testing.assert_allclose(scan_forward_np(*args)[0], scan_sequential(*args),
+    np.testing.assert_allclose(scan_forward_np(*args), scan_sequential(*args),
                                rtol=0, atol=1e-12)
 
 
@@ -73,7 +74,7 @@ def test_single_step_closed_form():
     # with one token the state is delta*B*u, so y = delta*u*<C,B> + Dskip*u
     rng = np.random.default_rng(0)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 2, 1, 3, 4)
-    y = scan_forward_np(u, delta, A, B, C, Dskip)[0]
+    y = scan_forward_np(u, delta, A, B, C, Dskip)
     expect = delta * u * np.einsum("bls,bls->bl", C, B)[..., None] + Dskip * u
     np.testing.assert_allclose(y, expect, atol=1e-14)
 
@@ -86,7 +87,7 @@ def test_constant_input_geometric_series():
     u = np.ones((1, L, 1))
     Bm = np.full((1, L, 1), b)
     Cm = np.full((1, L, 1), c)
-    y = scan_forward_np(u, delta, A, Bm, Cm, np.array([dsk]))[0]
+    y = scan_forward_np(u, delta, A, Bm, Cm, np.array([dsk]))
     t = np.arange(1, L + 1)
     expect = c * b * (1 - a ** t) / (1 - a) + dsk
     np.testing.assert_allclose(y[0, :, 0], expect, atol=1e-12)
@@ -95,17 +96,17 @@ def test_constant_input_geometric_series():
 def test_zero_input_zero_output():
     rng = np.random.default_rng(1)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 1, 5, 2, 3)
-    y = scan_forward_np(np.zeros_like(u), delta, A, B, C, Dskip)[0]
+    y = scan_forward_np(np.zeros_like(u), delta, A, B, C, Dskip)
     np.testing.assert_array_equal(y, 0.0)
 
 
 def test_causality():
     rng = np.random.default_rng(2)
     u, delta, A, B, C, Dskip = random_scan_inputs(rng, 2, 12, 3, 4)
-    y0 = scan_forward_np(u, delta, A, B, C, Dskip)[0]
+    y0 = scan_forward_np(u, delta, A, B, C, Dskip)
     u2 = u.copy()
     u2[:, 7] += 1.0
-    y1 = scan_forward_np(u2, delta, A, B, C, Dskip)[0]
+    y1 = scan_forward_np(u2, delta, A, B, C, Dskip)
     np.testing.assert_array_equal(y0[:, :7], y1[:, :7])
     assert np.abs(y0[:, 7:] - y1[:, 7:]).max() > 1e-6
 
@@ -160,8 +161,9 @@ def test_scan_core_batch_items_do_not_interact(reverse):
 
 
 def scan_kept_decays(gy, u, delta, A, B, C, Dskip):
-    """The scan kernels as they were when the record kept the decays abar
-    next to the states H: returns (y, H, the six input gradients)."""
+    """The scan kernels as they were when the record kept the states H and
+    the decays abar, with broadcast outer products: returns (y, the six
+    input gradients)."""
     ut, dt, Bt, Ct, gyt = [np.ascontiguousarray(a.swapaxes(0, 1)) for a in (u, delta, B, C, gy)]
     abar = dt[:, :, None, :] * np.ascontiguousarray(A.T)
     np.exp(abar, out=abar)
@@ -183,42 +185,43 @@ def scan_kept_decays(gy, u, delta, A, B, C, Dskip):
     gdelta = (np.einsum("lbsd,sd->lbd", gdA, np.ascontiguousarray(A.T)) + ut * GB).swapaxes(0, 1)
     gA = np.einsum("lbsd,lbd->ds", gdA, dt)
     gDskip = np.einsum("bld,bld->d", gy, u)
-    return y, H, (gu, gdelta, gA, gB, gC, gDskip)
+    return y, (gu, gdelta, gA, gB, gC, gDskip)
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2)])
+@pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2), (2, 2 * CHUNK + 3, 3, 2)])
 def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode):
-    # the backward rebuilds abar with the forward's operations, so y, H and
-    # all six gradients keep every byte, on scan_core's reversed views too
+    # the kernels rebuild abar and H with the same products in the same
+    # order, and their einsum outer products equal the broadcast ones, so y
+    # and all six gradients keep every byte, on scan_core's reversed views
+    # too; the third length makes the states span three passes of _states
     rng = np.random.default_rng(sum(dims) + reverse)
     dtype = DTYPES[mode]
     seq = slice(None, None, -1 if reverse else 1)
     u, delta, A, B, C, Dskip = [a.astype(dtype) for a in random_scan_inputs(rng, *dims)]
     gy = relu_like_gradient(rng, u.shape, dtype)[:, seq]
     args = (u[:, seq], delta[:, seq], A, B[:, seq], C[:, seq], Dskip)
-    y, H = scan_forward_np(*args)
+    y = scan_forward_np(*args)
     with np.errstate(invalid="ignore"):
-        grads = scan_backward_np(gy, *args, H)
-        ref_y, ref_H, ref_grads = scan_kept_decays(gy, *args)
+        grads = scan_backward_np(gy, *args)
+        ref_y, ref_grads = scan_kept_decays(gy, *args)
     assert y.tobytes() == ref_y.tobytes()
-    assert H.tobytes() == ref_H.tobytes()
     for grad, ref in zip(grads, ref_grads, strict=True):
         assert grad.dtype == dtype
         assert grad.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("reverse", [False, True])
-def test_scan_core_record_keeps_states_not_decays(reverse):
-    # H and abar are both [L, Bn, S, D]: the record keeps H, which only the
-    # loop could rebuild, and no abar, which the backward rebuilds from delta
+def test_scan_core_record_keeps_no_states_or_decays(reverse):
+    # H and abar are both [L, Bn, S, D], 32 KiB here against the output's
+    # 8 KiB: the backward rebuilds both from the inputs, so the record keeps
+    # neither, and recording retains the output, which the caller holds
     rng = np.random.default_rng(12)
     Bn, L, D, S = 2, 64, 8, 4
     tensors = [T.Tensor(a, np.float64) for a in random_scan_inputs(rng, Bn, L, D, S)]
-    retained, y = retained_bytes(scan_core, *tensors, reverse)
-    kept = y.data.nbytes + L * Bn * S * D * 8
-    assert kept <= retained <= kept + RECORD_OVERHEAD
+    retained, y_nbytes = retained_bytes(scan_core, *tensors, reverse)
+    assert y_nbytes <= retained <= y_nbytes + RECORD_OVERHEAD
 
 
 # ---------------------------------------------------------------------------
