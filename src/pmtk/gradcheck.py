@@ -230,22 +230,22 @@ def _fam_diffusion(rng):
     return worst
 
 
-def _fam_scan(rng):
-    # Bn > 1 so the batch sums in gA and gDskip are probed
-    Bn, L, D, S = 2, 5, 3, 2
-    worst = 0.0
-    for reverse in (False, True):
-        u = _signed(rng, (Bn, L, D))
-        delta = rng.uniform(0.05, 0.6, (Bn, L, D))
-        A = -rng.uniform(0.2, 2.0, (D, S))
-        B = _signed(rng, (Bn, L, S))
-        C = _signed(rng, (Bn, L, S))
-        Dsk = _signed(rng, (D,))
-        r = rng.uniform(0.5, 1.5, (Bn, L, D))
-        worst = max(worst, check_scalar_fn(
-            lambda ts: _weighted_sum(scan_core(*ts, reverse=reverse), r),
-            [u, delta, A, B, C, Dsk]))
-    return worst
+def _fam_scan_core(rng):
+    """The Vim mixer's gradients: u_lin, z and every weight it reads.
+
+    Bn > 1, so the batch sums of the weight gradients are probed. (The
+    scans' passes over time are checked against an unchunked reference bit
+    for bit in ``tests/test_ssm.py``.)
+    """
+    w = VimBlockWeights(np.random.default_rng(int(rng.integers(1 << 31))),
+                        d=2, s=2).astype(np.float64)
+    Bn, L, E = 2, 7, 2 * w.d
+    u_lin = Tensor(_signed(rng, (Bn, L, E)), np.float64)
+    z = Tensor(_signed(rng, (Bn, L, E)), np.float64)
+    r = rng.uniform(0.5, 1.5, (Bn, L, E))
+    weights = [w.conv_w, w.conv_b, *w.fwd.parameters(), *w.bwd.parameters()]
+    return _check_leaves(lambda: _weighted_sum(scan_core(u_lin, z, w), r),
+                         [u_lin, z, *weights])
 
 
 def _fam_vim_block(rng):
@@ -274,7 +274,7 @@ FAMILIES = {
     "bilinear_upsample": _fam_upsample,
     "softmax_cross_entropy": _fam_cross_entropy,
     "dwt_diffusion": _fam_diffusion,
-    "selective_scan": _fam_scan,
+    "scan_core": _fam_scan_core,
     "vim_block": _fam_vim_block,
     "pmd_block": _fam_pmd_block,
 }

@@ -463,6 +463,9 @@ def train_toy(train_samples, val_samples, cfg: TrainConfig = TrainConfig()) -> t
                             f"(lr {cfg.lr})")
                 grad_norm = max(grad_norm, norm)
                 opt.step(grads)
+                # a full set of parameter gradients, dead now: not held
+                # through the next step's forward and backward
+                del grads
                 for key in sums:
                     sums[key] += parts[key]
                 batches += 1

@@ -8,27 +8,31 @@ The core recurrence, per channel d with hidden state h in R^S:
 
 delta, B, C are input-dependent (selective) linear projections of the token
 sequence; delta goes through a softplus and A is stored as -exp(A_log), which
-keeps abar inside (0, 1). The plain-loop recurrence, the kernels' oracle,
-lives in ``tests/test_ssm.py``. ``scan_core`` carries a hand-derived backward
-pass and loops only the two recurrences, the state forward in time and its
-adjoint backward in time; everything else is a batched contraction.
+keeps abar inside (0, 1). The kernels ``scan_forward_np`` and
+``scan_backward_np`` (a hand-derived adjoint) loop only the two recurrences,
+the state forward in time and its adjoint backward in time; everything else
+is a batched contraction. The plain-loop recurrence, the kernels' oracle,
+lives in ``tests/test_ssm.py``.
 
 Layouts: the kernels take and return batch-major [Bn, L, D] sequences and
-[Bn, L, S] B and C, like every tape primitive. Inside, the state H, the
-decays abar and the adjoint G are time-major [L, Bn, S, D] in memory as well
-as in shape, so each step of a loop reads and writes Bn*S*D contiguous
-values. A tape record keeps only the scan's inputs, as in Mamba's kernel
-(Gu & Dao, arXiv 2312.00752, §3.3.2): the backward rebuilds abar from delta
-(two elementwise passes, no loop) and then H, with the same helper,
-``_states``, that builds H in the forward.
+[Bn, L, S] B and C, like every tape primitive. Inside, the decays abar, the
+states H and the adjoint G are time-major [L, Bn, S, D] in memory as well as
+in shape, so each step of a loop reads and writes Bn*S*D contiguous values.
+The decays and the states are built a pass of time steps at a time into
+scratch buffers (``_states``) and read out pass by pass, so a forward holds
+no [L, Bn, S, D] buffer and a backward holds one, G.
 
-``vim_block`` is the residual token mixer built on two scan directions:
-norm -> parallel input/gate projections -> short depthwise conv + SiLU ->
-forward scan + reversed scan -> sum -> gate -> output projection -> + input.
+``vim_block`` is the residual token mixer: norm -> parallel input/gate
+projections -> the mixer -> output projection -> + input. The mixer,
+``scan_core``, is one tape primitive: short depthwise conv + SiLU, a forward
+and a reversed scan, their sum, and the SiLU gate. As in Mamba's kernel
+(Gu & Dao, arXiv 2312.00752, §3.3.2), its record keeps only its inputs and
+weights, and its backward rebuilds everything else.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -50,121 +54,161 @@ def _time_major(*arrays):
     return [np.ascontiguousarray(a.swapaxes(0, 1)) for a in arrays]
 
 
-def _decays(dt, A):
-    """abar = exp(delta*A), time-major [L, Bn, S, D], from the time-major delta.
-
-    A unit-stride A.T, and exp in place: each fresh [L,Bn,S,D] buffer costs
-    page faults comparable to the arithmetic on it. The S-expanded outer
-    products here and in the kernels are einsums: the same single products
-    as a broadcast ``*``, so the same bits, and up to 2x faster.
-    """
-    abar = np.einsum("lbd,sd->lbsd", dt, np.ascontiguousarray(A.T))
-    np.exp(abar, out=abar)
-    return abar
-
-
-# time steps per pass of _states, whose injection scratch is CHUNK/L of a
-# full [L,Bn,S,D] buffer; 16, 32 and 64 timed alike in whole training steps
+# A pass of the state loops takes CHUNK time steps, or more when a step is
+# small, up to PASS_ELEMENTS values per scratch buffer (256 KB in f32), so
+# that short batches do not pay Python's cost per pass many times over
 CHUNK = 32
+PASS_ELEMENTS = 1 << 16
 
 
-def _states(abar, Bt, dtu, gdA=None):
-    """Overwrite the decays abar [L, Bn, S, D] with the states H; return it.
+def _passes(L, steps, reverse=False):
+    """(first time step, steps) of each pass over L steps, in time order or,
+    if ``reverse``, last pass first."""
+    starts = range(0, L, steps)
+    return [(t0, min(steps, L - t0)) for t0 in (reversed(starts) if reverse else starts)]
 
-    ``Bt`` [L, Bn, S] and ``dtu`` = delta*u [L, Bn, D] are time-major. Each
-    pass takes CHUNK time steps: their injections B_t (x) delta_t u_t go
-    into a scratch buffer, the loop turns them into states in place,
-    h_t += abar_t * h_{t-1}, and the states then replace the decays, which
-    nothing reads again. If ``gdA`` is given, it is the adjoint G, and it
-    becomes d/d(delta*A) on the way: G_t * h_{t-1} * abar_t, with h_{-1} = 0.
-    So a backward holds two [L, Bn, S, D] buffers, not three.
+
+def _decays(dt, A_T, out):
+    """abar = exp(delta*A) into ``out`` [n, Bn, S, D], from n time steps of
+    the time-major delta and a unit-stride A.T.
+
+    The S-expanded outer products here and in the kernels are einsums: the
+    same single products as a broadcast ``*``, so the same bits, and up to
+    2x faster. Each element is one product and one exp, so a pass's decays
+    equal those of the whole sequence bit for bit.
     """
-    L = len(abar)
-    scratch = np.empty((min(CHUNK, L),) + abar.shape[1:], abar.dtype)
-    tmp = np.empty_like(abar[0])
-    for t0 in range(0, L, CHUNK):
-        a = abar[t0:t0 + CHUNK]
-        h = scratch[:len(a)]
-        np.einsum("lbs,lbd->lbsd", Bt[t0:t0 + CHUNK], dtu[t0:t0 + CHUNK], out=h)
-        before = prev = abar[t0 - 1] if t0 else None    # h_{t0-1}, from the last pass
+    np.einsum("lbd,sd->lbsd", dt, A_T, out=out)
+    return np.exp(out, out=out)
+
+
+def _scratch(dt, A, Bt):
+    """An uninitialized buffer for one pass, [steps, Bn, S, D] in the decays'
+    dtype, from the time-major delta [L, Bn, D] and B [L, Bn, S]."""
+    step = Bt.shape[1:] + dt.shape[2:]
+    steps = max(CHUNK, PASS_ELEMENTS // math.prod(step))
+    return np.empty((min(steps, len(dt)),) + step, np.result_type(dt, A))
+
+
+def _states(dt, A, Bt, ut, a_buf=None):
+    """The states H over time-major inputs, one pass (``_scratch``) at a time.
+
+    ``dt`` = delta [L, Bn, D], ``Bt`` [L, Bn, S] and ``ut`` [L, Bn, D] (a
+    view will do: it enters only delta*u). Yields (t0, a, h, before) per
+    pass: the pass's decays abar and states H, from time step t0 on, and
+    h_{t0-1} (None at t0 = 0). Each pass builds its decays and its
+    injections B_t (x) delta_t u_t in two scratch buffers, which the next
+    pass overwrites, and the loop turns the injections into states in
+    place, h_t += abar_t * h_{t-1}. So no [L, Bn, S, D] buffer is made, and
+    the states are the same bits whatever the pass length. ``a_buf``, if
+    given, is the decays' scratch and already holds the first pass's decays.
+    """
+    A_T = np.ascontiguousarray(A.T)
+    built = a_buf is not None
+    if not built:
+        a_buf = _scratch(dt, A, Bt)
+    h_buf = np.empty_like(a_buf)
+    tmp = np.empty_like(a_buf[0])
+    before = None
+    for t0, n in _passes(len(dt), len(a_buf)):
+        a = a_buf[:n]
+        if t0 or not built:
+            _decays(dt[t0:t0 + n], A_T, a)
+        h = h_buf[:n]
+        np.einsum("lbs,lbd->lbsd", Bt[t0:t0 + n], dt[t0:t0 + n] * ut[t0:t0 + n], out=h)
+        prev = before
         for h_t, a_t in zip(h, a):
             if prev is not None:
                 np.multiply(a_t, prev, out=tmp)
                 h_t += tmp
             prev = h_t
-        if gdA is not None:
-            g = gdA[t0:t0 + CHUNK]
-            if t0:
-                g[0] *= before
-            g[1:] *= h[:-1]
-            g *= a
-        a[...] = h
-    if gdA is not None:
-        gdA[0] = 0
-    return abar
+        yield t0, a, h, before
+        if before is None:
+            before = np.empty_like(tmp)
+        before[...] = h[-1]
 
 
 def scan_forward_np(u, delta, A, B, C, Dskip):
     """Scan over batch-major [Bn, L, D] inputs; returns y [Bn, L, D].
 
-    Loops only over time. The states H live in the decays' buffer and are
-    dropped with it: the backward rebuilds both.
+    Loops only over time, and holds no [L, Bn, S, D] buffer: each pass of
+    the states is read out, y_t += <C_t, h_t> on y = D_skip * u, before the
+    next overwrites it.
     """
-    ut, dt, Bt, Ct = _time_major(u, delta, B, C)
-    H = _states(_decays(dt, A), Bt, dt * ut)
-    return (Ct[:, :, None, :] @ H)[:, :, 0].swapaxes(0, 1) + Dskip * u
+    dt, Bt, Ct = _time_major(delta, B, C)
+    y = Dskip * u
+    for t0, _, h, _ in _states(dt, A, Bt, u.swapaxes(0, 1)):
+        y[:, t0:t0 + len(h)] += (Ct[t0:t0 + len(h), :, None, :] @ h)[:, :, 0].swapaxes(0, 1)
+    return y
 
 
 def scan_backward_np(gy, u, delta, A, B, C, Dskip):
-    """Adjoint of scan_forward_np; returns gradients for all six inputs.
+    """Adjoint of scan_forward_np; returns (y, the gradients of all six inputs).
 
-    Arguments and gradients are batch-major like the forward's. The decays
-    abar and then the states H are rebuilt with the forward's own
-    operations, so they match its bit for bit. G_t = dloss/dh_t obeys
-    G_t = gy_t C_t + abar_{t+1} G_{t+1}; that recurrence and the states'
-    are the only loops, and every gradient is then one batched contraction
-    of G, H or d/d(delta*A).
+    Arguments, y and gradients are batch-major like the forward's. The
+    adjoint G_t = dloss/dh_t obeys G_t = gy_t C_t + abar_{t+1} G_{t+1},
+    looped backward in time over decays rebuilt a pass at a time. The
+    states are then rebuilt pass by pass with the forward's own helper,
+    ``_states``, so they and y match the forward bit for bit; each pass
+    turns its part of G into d/d(delta*A), G_t * h_{t-1} * abar_t (0 at
+    t = 0), and is read out for gC and y. So G is the one [L, Bn, S, D]
+    buffer, and every gradient is a batched contraction of G, of d/d(delta*A)
+    or of a pass of the states.
     """
-    gyt, ut, dt, Bt, Ct = _time_major(gy, u, delta, B, C)
-    dtu = dt * ut
-    abar = _decays(dt, A)
-    G = np.einsum("lbs,lbd->lbsd", Ct, gyt)                     # [L,Bn,S,D]
-    gs, decay = list(G), list(abar)
-    tmp = np.empty_like(gs[0])
-    for t in range(len(gs) - 2, -1, -1):
-        np.multiply(decay[t + 1], gs[t + 1], out=tmp)
-        gs[t] += tmp
-    GB = (Bt[:, :, None, :] @ G)[:, :, 0]                     # [L,Bn,D]
-    gB = (G @ dtu[..., None])[..., 0].swapaxes(0, 1)
-    H = _states(abar, Bt, dtu, gdA=G)                         # in abar's buffer
+    # u enters only elementwise products, which read a view as they read a
+    # copy; gy is copied a pass at a time, for G's seed and gC's products
+    ut, gyt = u.swapaxes(0, 1), gy.swapaxes(0, 1)
+    dt, Bt, Ct = _time_major(delta, B, C)
+    A_T = np.ascontiguousarray(A.T)
+    a_buf = _scratch(dt, A, Bt)
+    G = np.empty((len(dt),) + a_buf.shape[1:], np.result_type(Ct, gy))       # [L,Bn,S,D]
+    GB = np.empty(dt.shape, G.dtype)                                          # [L,Bn,D]
+    gBt = np.empty(Bt.shape, G.dtype)                                         # [L,Bn,S]
+    tmp = np.empty_like(G[0])
+    # each pass, last first, seeds its G with gy_t C_t and runs the loop;
+    # carry is abar_t0 G_t0 of the pass before, owed to this pass's last G
+    carry = None
+    for t0, n in _passes(len(G), len(a_buf), reverse=True):
+        c = slice(t0, t0 + n)
+        np.einsum("lbs,lbd->lbsd", Ct[c], np.ascontiguousarray(gyt[c]), out=G[c])
+        if carry is not None:
+            G[t0 + n - 1] += carry
+        a = _decays(dt[c], A_T, a_buf[:n])
+        for t in range(t0 + n - 1, t0, -1):
+            np.multiply(a[t - t0], G[t], out=tmp)
+            G[t - 1] += tmp
+        if t0:
+            carry = np.multiply(a[0], G[t0], out=tmp)
+        # this pass's G is final: read it out while it is in cache
+        GB[c] = (Bt[c, :, None, :] @ G[c])[:, :, 0]
+        gBt[c] = (G[c] @ (dt[c] * ut[c])[..., None])[..., 0]
+    gCt = np.empty(Bt.shape, np.result_type(G, gyt))
+    y = Dskip * u
+    # the last G pass left the first pass's decays in a_buf
+    for t0, a, h, before in _states(dt, A, Bt, ut, a_buf):
+        c = slice(t0, t0 + len(h))
+        g = G[c]
+        if before is not None:
+            g[0] *= before
+        g[1:] *= h[:-1]
+        g *= a
+        gCt[c] = (h @ np.ascontiguousarray(gyt[c])[..., None])[..., 0]
+        y[:, c] += (Ct[c, :, None, :] @ h)[:, :, 0].swapaxes(0, 1)
+    G[0] = 0
     gdA = G                                                   # d/d(delta*A) now
-    gC = (H @ gyt[..., None])[..., 0].swapaxes(0, 1)
-    gu = gy * Dskip + (dt * GB).swapaxes(0, 1)
-    gdelta = (np.einsum("lbsd,sd->lbd", gdA, np.ascontiguousarray(A.T)) + ut * GB).swapaxes(0, 1)
+    del a_buf, a, h, before, Bt, Ct
+    # each sum adds into its first term, and both of GB's products go
+    # through one buffer: fewer fresh temporaries, the same bits
+    gu = gy * Dskip
+    prod = dt * GB
+    gu += prod.swapaxes(0, 1)
+    np.multiply(ut, GB, out=prod)
+    del GB
+    gdelta = np.einsum("lbsd,sd->lbd", gdA, A_T)
+    gdelta += prod
+    del prod
     gA = np.einsum("lbsd,lbd->ds", gdA, dt)
     gDskip = np.einsum("bld,bld->d", gy, u)
-    return gu, gdelta, gA, gB, gC, gDskip
-
-
-def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
-              C: T.Tensor, Dskip: T.Tensor, reverse: bool = False) -> T.Tensor:
-    """Tape-recorded scan over [Bn, L, D] with custom adjoint.
-
-    ``reverse=True`` scans from the last token to the first: the same as
-    flipping u, delta, B and C along L, scanning, and flipping y back. The
-    kernels run on reversed views, so no flipped copy is taped.
-    """
-    seq = slice(None, None, -1 if reverse else 1)
-    y = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
-                        B.data[:, seq], C.data[:, seq], Dskip.data)
-
-    def bwd(gy):
-        gu, gdelta, gA, gB, gC, gDskip = scan_backward_np(
-            gy[:, seq], u.data[:, seq], delta.data[:, seq], A.data,
-            B.data[:, seq], C.data[:, seq], Dskip.data)
-        return gu[:, seq], gdelta[:, seq], gA, gB[:, seq], gC[:, seq], gDskip
-
-    return T.record_op((u, delta, A, B, C, Dskip), y[:, seq], bwd)
+    return y, (gu, gdelta.swapaxes(0, 1), gA, gBt.swapaxes(0, 1), gCt.swapaxes(0, 1), gDskip)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +228,6 @@ class SsmParams(T.Module):
         self.W_B = T.uniform_param(rng, (d, s), d)
         self.W_C = T.uniform_param(rng, (d, s), d)
         self.D_skip = T.Parameter(np.ones(d))
-
-
-def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor:
-    """Input-dependent scan of a token sequence [Bn, L, D], last token first if ``reverse``."""
-    if x.ndim != 3 or x.shape[2] != p.d:
-        raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
-    delta = T.softplus(T.linear(x, p.W_dt, p.b_dt))
-    Bmat = T.linear(x, p.W_B)
-    Cmat = T.linear(x, p.W_C)
-    A = T.scale(T.exp(p.A_log), -1.0)
-    return scan_core(x, delta, A, Bmat, Cmat, p.D_skip, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +302,120 @@ class VimBlockWeights(T.Module):
         self.b_out = T.zeros_param((d,))
 
 
+def _scan_inputs(u, p, seq):
+    """One direction's six scan inputs from the mixer's u [Bn, L, E], as
+    views on ``seq``, and the adjoints of its projections and softplus,
+    which keep u, the weights and softplus's input. ``p`` holds the
+    direction's arrays in ``SsmParams`` order: A_log, W_dt, b_dt, W_B, W_C,
+    D_skip."""
+    A_log, W_dt, b_dt, W_B, W_C, D_skip = p
+    dt_lin, dt_bwd = T.linear_np(u, W_dt, b_dt)
+    delta, softplus_bwd = T.softplus_np(dt_lin)
+    B, B_bwd = T.linear_np(u, W_B)
+    C, C_bwd = T.linear_np(u, W_C)
+    args = (u[:, seq], delta[:, seq], np.exp(A_log) * -1.0, B[:, seq], C[:, seq], D_skip)
+    return args, (dt_bwd, softplus_bwd, B_bwd, C_bwd)
+
+
+def _scan_forward(u, p, seq):
+    """One direction's y [Bn, L, E]."""
+    args, _ = _scan_inputs(u, p, seq)
+    return scan_forward_np(*args)[:, seq]
+
+
+def _scan_backward(g_pre, u, p, seq, gu):
+    """One direction's part of the mixer's backward: its y, u's gradient and
+    the gradients of ``p``. u's gradient terms are added into ``gu`` (or
+    open it, if None) in the order the per-op tape added them: the scan,
+    then W_C, W_B and W_dt."""
+    args, (dt_bwd, softplus_bwd, B_bwd, C_bwd) = _scan_inputs(u, p, seq)
+    y, (gs, gdelta, gA, gB, gC, gD) = scan_backward_np(g_pre[:, seq], *args)
+    del args
+    if gu is None:
+        gu = gs[:, seq]
+    else:
+        gu += gs[:, seq]
+    del gs
+    gx, gW_C = C_bwd(gC[:, seq])
+    gu += gx
+    gx, gW_B = B_bwd(gB[:, seq])
+    gu += gx
+    gx, gW_dt, gb_dt = dt_bwd(softplus_bwd(gdelta[:, seq])[0])
+    gu += gx
+    # A = e^A_log * -1, so gA goes back through the adjoints of that
+    # product and of exp, in their order (a NaN keeps its sign bit)
+    return y[:, seq], gu, ((gA * -1.0) * np.exp(p[0]), gW_dt, gb_dt, gW_B, gW_C, gD)
+
+
+# the two scan directions, first to last token and last to first
+_SEQS = (slice(None), slice(None, None, -1))
+
+
+def scan_core(u_lin: T.Tensor, z: T.Tensor, w: VimBlockWeights) -> T.Tensor:
+    """The Vim mixer over [Bn, L, E] sequences, as one tape record:
+
+        u = silu(depthwise_conv1d(u_lin)),   y = (y_fwd + y_bwd) * silu(z),
+
+    where each direction scans u with delta = softplus(u W_dt + b_dt),
+    B = u W_B, C = u W_C and A = -exp(A_log), and ``w.bwd``'s direction runs
+    from the last token to the first (on reversed views; nothing flipped is
+    copied).
+
+    The record keeps only ``u_lin``, ``z`` and the weights, as Mamba's
+    kernel does (Gu & Dao, arXiv 2312.00752, §3.3.2): the backward rebuilds
+    u, delta, B, C and A with the forward's own operations, and takes each
+    direction's y for the gate from the states its scan backward rebuilds,
+    so no forward scan runs twice. The directions run one after the other,
+    so one direction's [L, Bn, S, E] buffer, its adjoint G, is live at a
+    time. Every forward and adjoint is the per-op one (``T.linear_np`` and
+    the other ``*_np`` pairs), and u's gradient adds up its terms in the
+    order the per-op tape did, so outputs and gradients equal that
+    composition's bit for bit.
+    """
+    E = w.conv_w.shape[1]
+    if u_lin.ndim != 3 or u_lin.shape != z.shape or u_lin.shape[2] != E:
+        raise DimensionError(f"scan_core: u_lin and z must both be [Bn, L, {E}], "
+                             f"got {u_lin.shape} and {z.shape}")
+    params = (w.conv_w, w.conv_b, *w.fwd.parameters(), *w.bwd.parameters())
+    ud, zd = u_lin.data, z.data
+    conv_w, conv_b, *scan_w = (t.data for t in params)
+    dirs = tuple(zip((scan_w[:6], scan_w[6:]), _SEQS))
+    u = T.silu_np(T.depthwise_conv1d_np(ud, conv_w, conv_b)[0])[0]
+    pre = _scan_forward(u, *dirs[0]) + _scan_forward(u, *dirs[1])
+    del u
+    out = pre * T.silu_np(zd)[0]
+
+    def bwd(g):
+        c, conv_bwd = T.depthwise_conv1d_np(ud, conv_w, conv_b)
+        u, silu_bwd = T.silu_np(c)
+        sz, gate_bwd = T.silu_np(zd)
+        g_pre = g * sz
+        del sz
+        # the per-op tape swept the reversed direction first
+        y_bwd, gu, grads_bwd = _scan_backward(g_pre, u, *dirs[1], None)
+        pre, gu, grads_fwd = _scan_backward(g_pre, u, *dirs[0], gu)
+        pre += y_bwd
+        del u, y_bwd, g_pre
+        gz, = gate_bwd(g * pre)
+        del pre
+        gu_lin, g_conv_w, g_conv_b = conv_bwd(silu_bwd(gu)[0])
+        return (gu_lin, gz, g_conv_w, g_conv_b, *grads_fwd, *grads_bwd)
+
+    return T.record_op((u_lin, z, *params), out, bwd)
+
+
 def vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
-    """Residual bidirectional mixer; output shape equals input shape."""
+    """Residual bidirectional mixer; output shape equals input shape.
+
+    token norm -> parallel input/gate projections -> the mixer
+    (``scan_core``) -> output projection -> + input.
+    """
     if X.shape[-1] != w.d:
         raise DimensionError(f"vim_block: token width {X.shape[-1]} != weights width {w.d}")
     Xn = T.token_norm(X, w.norm_g, w.norm_b)
-    u = T.linear(Xn, w.W_in, w.b_in)
+    u_lin = T.linear(Xn, w.W_in, w.b_in)
     z = T.linear(Xn, w.W_gate, w.b_gate)
-    u = T.silu(T.depthwise_conv1d(u, w.conv_w, w.conv_b))
-    pre_gate = T.add(selective_scan(u, w.fwd), selective_scan(u, w.bwd, reverse=True))
-    y = T.mul(pre_gate, T.silu(z))
-    return T.add(T.linear(y, w.W_out, w.b_out), X)
+    return T.add(T.linear(scan_core(u_lin, z, w), w.W_out, w.b_out), X)
 
 
 # ---------------------------------------------------------------------------

@@ -275,25 +275,39 @@ def _sigmoid_denominator(xd: np.ndarray) -> np.ndarray:
         return 1.0 + np.exp(-xd)
 
 
-def silu(x: Tensor) -> Tensor:
-    # the record keeps only the input; the backward recomputes the sigmoid
-    xd = x.data
+def silu_np(xd: np.ndarray) -> tuple:
+    """x * sigmoid(x) and its adjoint ``bwd(g) -> (dx,)``, which keeps only
+    ``xd`` and recomputes the sigmoid.
 
+    This and the other ``*_np`` pairs follow ``_standardize``: the public op
+    records ``lambda g: bwd(g)``, and the Vim mixer (``ssm.scan_core``) runs
+    the same forward and adjoint inside its one record.
+    """
     def bwd(g):
         s = 1.0 / _sigmoid_denominator(xd)
         return (g * (s * (1.0 + xd * (1.0 - s))),)
 
-    return record_op((x,), xd * (1.0 / _sigmoid_denominator(xd)), bwd)
+    return xd * (1.0 / _sigmoid_denominator(xd)), bwd
 
 
-def softplus(x: Tensor) -> Tensor:
-    xd = x.data
+def silu(x: Tensor) -> Tensor:
+    out, bwd = silu_np(x.data)
+    return record_op((x,), out, lambda g: bwd(g))
+
+
+def softplus_np(xd: np.ndarray) -> tuple:
+    """log(1 + e^x) and its adjoint ``bwd(g) -> (dx,)``, which keeps ``xd``."""
     # log(1 + e^x) = max(x, 0) + log1p(e^-|x|): no overflow, and several
     # times faster than np.logaddexp(0, x)
     out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
     # g * sigmoid(x) as one division: g * (1/d) adds a rounding that moves
     # about a quarter of the gradient entries
-    return record_op((x,), out, lambda g: (g / _sigmoid_denominator(xd),))
+    return out, lambda g: (g / _sigmoid_denominator(xd),)
+
+
+def softplus(x: Tensor) -> Tensor:
+    out, bwd = softplus_np(x.data)
+    return record_op((x,), out, lambda g: bwd(g))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -357,32 +371,38 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
 # Linear algebra
 # ---------------------------------------------------------------------------
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x [..., Din] @ w [Din, Dout] (+ b [Dout]) -> [..., Dout], one record.
+def linear_np(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None = None) -> tuple:
+    """xd [..., Din] @ wd (+ bd) and its adjoint ``bwd(g) -> (dx, dw[, db])``.
 
     The leading axes are flattened into the rows of one 2-D product.
     """
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear: inner extents differ, {x.shape} x {w.shape}")
-    Din, Dout = w.shape
-    if b is not None and b.shape != (Dout,):
-        raise DimensionError(f"linear: bias must have shape ({Dout},), got {b.shape}")
-    x2, wd = x.data.reshape(-1, Din), w.data
+    Din, Dout = wd.shape
+    x2 = xd.reshape(-1, Din)
     out = x2 @ wd
-    if b is not None:
-        out += b.data
+    if bd is not None:
+        out += bd
 
     def bwd(g):
         g2 = g.reshape(-1, Dout)
-        gx, gw = (g2 @ wd.T).reshape(x.shape), x2.T @ g2
-        if b is None:
+        gx, gw = (g2 @ wd.T).reshape(xd.shape), x2.T @ g2
+        if bd is None:
             return gx, gw
         # summed over the unflattened leading axes: numpy orders that sum
         # differently from a sum over the rows of g2
         return gx, gw, g.sum(axis=tuple(range(g.ndim - 1)))
 
+    return out.reshape(xd.shape[:-1] + (Dout,)), bwd
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x [..., Din] @ w [Din, Dout] (+ b [Dout]) -> [..., Dout], one record."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear: inner extents differ, {x.shape} x {w.shape}")
+    if b is not None and b.shape != (w.shape[1],):
+        raise DimensionError(f"linear: bias must have shape ({w.shape[1]},), got {b.shape}")
+    out, bwd = linear_np(x.data, w.data, None if b is None else b.data)
     inputs = (x, w) if b is None else (x, w, b)
-    return record_op(inputs, out.reshape(x.shape[:-1] + (Dout,)), bwd)
+    return record_op(inputs, out, lambda g: bwd(g))
 
 
 # ---------------------------------------------------------------------------
@@ -496,21 +516,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
     return record_op((x, w), out, bwd)
 
 
-def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Width-3 per-channel convolution along the sequence axis of [B,L,D], plus bias.
-
-    Zero padding of one step on each side keeps the sequence length.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"depthwise_conv1d: input must be [B,L,D], got {x.shape}")
-    xd = x.data
+def depthwise_conv1d_np(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> tuple:
+    """Width-3 per-channel convolution of [B,L,D] ``xd``, plus bias, and its
+    adjoint ``bwd(g) -> (dx, dw, db)``, which keeps the padded input."""
     B, L, D = xd.shape
-    if w.shape != (3, D):
-        raise DimensionError(f"depthwise_conv1d: kernel must be [3,{D}], got {w.shape}")
     xp = np.zeros((B, L + 2, D), dtype=xd.dtype)
     xp[:, 1:L + 1] = xd
-    wd = w.data
-    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2] + bias.data
+    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2] + bd
 
     def bwd(g):
         gp = np.zeros_like(xp)
@@ -525,7 +537,20 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         ])
         return gx, gw, g.sum(axis=(0, 1))
 
-    return record_op((x, w, bias), out, bwd)
+    return out, bwd
+
+
+def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
+    """Width-3 per-channel convolution along the sequence axis of [B,L,D], plus bias.
+
+    Zero padding of one step on each side keeps the sequence length.
+    """
+    if x.ndim != 3:
+        raise DimensionError(f"depthwise_conv1d: input must be [B,L,D], got {x.shape}")
+    if w.shape != (3, x.shape[2]):
+        raise DimensionError(f"depthwise_conv1d: kernel must be [3,{x.shape[2]}], got {w.shape}")
+    out, bwd = depthwise_conv1d_np(x.data, w.data, bias.data)
+    return record_op((x, w, bias), out, lambda g: bwd(g))
 
 
 # ---------------------------------------------------------------------------

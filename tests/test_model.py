@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -365,14 +366,15 @@ def test_dtype_follows_the_parameters(mode):
     assert {p.data.dtype for p in model.parameters()} == {np.dtype(dtype)}
 
 
-def test_training_step_tape_stays_under_25_mb():
+def test_training_step_tape_stays_under_15_mb():
     # The tape of a default-plan batch-8 64x64 f32 step, traced from just
     # before its forward: the leaves plus the arrays the closures read.
     # Records that held their input and output tensors kept 59.8 MB;
     # records that hold keys kept 47.0 MB. Norms and silu that keep only
     # their inputs and a seg_head that classifies before it upsamples kept
     # 38.1 MB. Scan records that keep no states (15.7 MB over 16 scans),
-    # which the backward rebuilds, keep 22.4 MB. tracemalloc counts numpy's
+    # which the backward rebuilds, kept 22.4 MB. One record per Vim mixer,
+    # keeping only u_lin and z, keeps 13.5 MB. tracemalloc counts numpy's
     # buffers exactly, so the figure repeats.
     rng = np.random.default_rng(8)
     model = PMamba(rng, StagePlan(), size=64)
@@ -386,15 +388,17 @@ def test_training_step_tape_stays_under_25_mb():
     finally:
         tracemalloc.stop()
     assert len(tape) > 0
-    assert kept <= 25e6
+    assert kept <= 15e6
 
 
-def test_training_step_peak_stays_under_28_mb():
+def test_training_step_peak_stays_under_19_mb():
     # The same step, traced from just before its forward through its
     # backward. A sweep that kept every record until it returned peaked at
     # 52.3 MB, 12 MB above the forward's end; one that frees each record as
     # it runs peaked at 40.8 MB and leaves the tape empty. With scan records
-    # that keep no states the step peaks at 25.1 MB.
+    # that keep no states the step peaked at 25.1 MB. With one record per
+    # Vim mixer the peak, 18.8 MB, is inside a stage-1 mixer's backward:
+    # its scans hold one [L, Bn, S, E] buffer each, one after the other.
     rng = np.random.default_rng(8)
     model = PMamba(rng, StagePlan(), size=64)
     x = rng.uniform(0.0, 1.0, (8, 1, 64, 64))
@@ -408,7 +412,35 @@ def test_training_step_peak_stays_under_28_mb():
     finally:
         tracemalloc.stop()
     assert len(tape) == 0
-    assert peak <= 28e6
+    assert peak <= 19e6
+
+
+def test_train_toy_drops_each_steps_gradients_before_the_next_forward(monkeypatch):
+    # the gradients of one step (a full parameter set) are dead once the
+    # optimizer has used them; held through the next forward and backward,
+    # they raised the traced peak of a three-step default-plan batch-8
+    # 64x64 train_toy from 38.0 to 47.0 MB
+    seen = []
+    opt_step = T.Momentum.step
+
+    def step(self, grads):
+        seen.append([weakref.ref(g) for g in grads.values()])
+        opt_step(self, grads)
+
+    alive = []
+    tape_enter = T.Tape.__enter__
+
+    def enter(self):
+        alive.append(sum(ref() is not None for refs in seen for ref in refs))
+        return tape_enter(self)
+
+    monkeypatch.setattr(T.Momentum, "step", step)
+    monkeypatch.setattr(T.Tape, "__enter__", enter)
+    samples = tiny_dataset(n=12)
+    train_toy(samples, [], TrainConfig(epochs=1, batch_size=4, lr=0.01, seed=0, size=32,
+                                       plan=MICRO_PLAN))
+    assert len(seen) == 3 and all(seen)
+    assert alive == [0, 0, 0]
 
 
 def test_seg_head_equals_classify_after_upsample_in_f64():

@@ -1,10 +1,13 @@
-"""Scan kernel against the definitional recurrence, plus token plumbing."""
+"""Scan kernels against the definitional recurrence, the Vim mixer against
+its per-op composition, plus token plumbing."""
 
 import numpy as np
 import pytest
 
+from pmtk import ssm
 from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
+from pmtk.gradcheck import TOL, check_scalar_fn
 from pmtk.ssm import (
     CHUNK,
     PatchEmbed,
@@ -13,15 +16,63 @@ from pmtk.ssm import (
     loglog_slope,
     scan_complexity_probe,
     scan_backward_np,
-    scan_core,
     scan_forward_np,
-    selective_scan,
     tokens_to_map,
     vim_block,
 )
 
 from dtypes import DTYPES
-from records import RECORD_OVERHEAD, relu_like_gradient, retained_bytes
+from records import RECORD_OVERHEAD, kept_bytes, relu_like_gradient, retained_bytes
+
+
+def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
+              C: T.Tensor, Dskip: T.Tensor, reverse: bool = False) -> T.Tensor:
+    """One scan direction as its own tape record over [Bn, L, D], on the
+    package kernels: the per-op form of the Vim mixer's scans, which the
+    mixer (``ssm.scan_core``) is checked against.
+
+    ``reverse=True`` scans from the last token to the first: the same as
+    flipping u, delta, B and C along L, scanning, and flipping y back. The
+    kernels run on reversed views, so no flipped copy is taped.
+    """
+    seq = slice(None, None, -1 if reverse else 1)
+    y = scan_forward_np(u.data[:, seq], delta.data[:, seq], A.data,
+                        B.data[:, seq], C.data[:, seq], Dskip.data)
+
+    def bwd(gy):
+        _, (gu, gdelta, gA, gB, gC, gDskip) = scan_backward_np(
+            gy[:, seq], u.data[:, seq], delta.data[:, seq], A.data,
+            B.data[:, seq], C.data[:, seq], Dskip.data)
+        return gu[:, seq], gdelta[:, seq], gA, gB[:, seq], gC[:, seq], gDskip
+
+    return T.record_op((u, delta, A, B, C, Dskip), y[:, seq], bwd)
+
+
+def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor:
+    """Input-dependent scan of a token sequence [Bn, L, D] as per-op records,
+    last token first if ``reverse``."""
+    if x.ndim != 3 or x.shape[2] != p.d:
+        raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
+    delta = T.softplus(T.linear(x, p.W_dt, p.b_dt))
+    Bmat = T.linear(x, p.W_B)
+    Cmat = T.linear(x, p.W_C)
+    A = T.scale(T.exp(p.A_log), -1.0)
+    return scan_core(x, delta, A, Bmat, Cmat, p.D_skip, reverse)
+
+
+def composed_mixer(u_lin: T.Tensor, z: T.Tensor, w: VimBlockWeights) -> T.Tensor:
+    """The Vim mixer as the per-op records it replaced, in their order."""
+    u = T.silu(T.depthwise_conv1d(u_lin, w.conv_w, w.conv_b))
+    pre_gate = T.add(selective_scan(u, w.fwd), selective_scan(u, w.bwd, reverse=True))
+    return T.mul(pre_gate, T.silu(z))
+
+
+def composed_vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
+    """``vim_block`` with the mixer as per-op records."""
+    Xn = T.token_norm(X, w.norm_g, w.norm_b)
+    u_lin = T.linear(Xn, w.W_in, w.b_in)
+    z = T.linear(Xn, w.W_gate, w.b_gate)
+    return T.add(T.linear(composed_mixer(u_lin, z, w), w.W_out, w.b_out), X)
 
 
 def map_to_tokens(x: T.Tensor) -> tuple:
@@ -188,25 +239,47 @@ def scan_kept_decays(gy, u, delta, A, B, C, Dskip):
     return y, (gu, gdelta, gA, gB, gC, gDskip)
 
 
+def short_passes(monkeypatch):
+    """Passes of the state loops of CHUNK steps whatever a step's size, so
+    that small test shapes span several passes."""
+    monkeypatch.setattr(ssm, "PASS_ELEMENTS", 0)
+
+
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2), (2, 2 * CHUNK + 3, 3, 2)])
-def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode):
-    # the kernels rebuild abar and H with the same products in the same
-    # order, and their einsum outer products equal the broadcast ones, so y
-    # and all six gradients keep every byte, on scan_core's reversed views
-    # too; the third length makes the states span three passes of _states
+def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode, monkeypatch):
+    # the kernels rebuild abar and H a pass at a time with the same products
+    # in the same order, and their einsum outer products equal the broadcast
+    # ones, so y (the forward's, and the backward's from its rebuilt states)
+    # and all six gradients keep every byte, on reversed views too; the
+    # third length makes the states span three passes of CHUNK steps
+    short_passes(monkeypatch)
+    check_kernels_against_kept_decays(dims, reverse, DTYPES[mode])
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_scan_kernels_equal_kept_decays_in_passes_longer_than_chunk(mode):
+    # a step of [Bn, S, D] = [2, 8, 16] is small, so a pass takes up to
+    # PASS_ELEMENTS // 256 steps: here 256 steps, then the last 44
+    Bn, L, D, S = 2, 300, 16, 8
+    steps = len(ssm._scratch(np.zeros((L, Bn, D)), np.zeros((D, S)), np.zeros((L, Bn, S))))
+    assert CHUNK < steps < L
+    check_kernels_against_kept_decays((Bn, L, D, S), True, DTYPES[mode])
+
+
+def check_kernels_against_kept_decays(dims, reverse, dtype):
     rng = np.random.default_rng(sum(dims) + reverse)
-    dtype = DTYPES[mode]
     seq = slice(None, None, -1 if reverse else 1)
     u, delta, A, B, C, Dskip = [a.astype(dtype) for a in random_scan_inputs(rng, *dims)]
     gy = relu_like_gradient(rng, u.shape, dtype)[:, seq]
     args = (u[:, seq], delta[:, seq], A, B[:, seq], C[:, seq], Dskip)
     y = scan_forward_np(*args)
     with np.errstate(invalid="ignore"):
-        grads = scan_backward_np(gy, *args)
+        y_bwd, grads = scan_backward_np(gy, *args)
         ref_y, ref_grads = scan_kept_decays(gy, *args)
     assert y.tobytes() == ref_y.tobytes()
+    assert y_bwd.tobytes() == ref_y.tobytes()
     for grad, ref in zip(grads, ref_grads, strict=True):
         assert grad.dtype == dtype
         assert grad.tobytes() == ref.tobytes()
@@ -215,8 +288,8 @@ def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scan_core_record_keeps_no_states_or_decays(reverse):
     # H and abar are both [L, Bn, S, D], 32 KiB here against the output's
-    # 8 KiB: the backward rebuilds both from the inputs, so the record keeps
-    # neither, and recording retains the output, which the caller holds
+    # 8 KiB: the kernels rebuild both from the inputs and leave neither
+    # behind, so recording retains only the output, which the caller holds
     rng = np.random.default_rng(12)
     Bn, L, D, S = 2, 64, 8, 4
     tensors = [T.Tensor(a, np.float64) for a in random_scan_inputs(rng, Bn, L, D, S)]
@@ -224,8 +297,116 @@ def test_scan_core_record_keeps_no_states_or_decays(reverse):
     assert y_nbytes <= retained <= y_nbytes + RECORD_OVERHEAD
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_scan_core_gradients_match_finite_differences(reverse, monkeypatch):
+    # the kernels' adjoint in float64, every input of one direction; Bn > 1
+    # so the batch sums in gA and gDskip are probed, and L > CHUNK so the
+    # state and adjoint loops cross a pass boundary
+    short_passes(monkeypatch)
+    rng = np.random.default_rng(13 + reverse)
+    Bn, L, D, S = 2, CHUNK + 3, 3, 2
+    signed = lambda shape: rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
+    u, B, C, Dsk = signed((Bn, L, D)), signed((Bn, L, S)), signed((Bn, L, S)), signed((D,))
+    delta = rng.uniform(0.05, 0.6, (Bn, L, D))
+    A = -rng.uniform(0.2, 2.0, (D, S))
+    r = T.Tensor(rng.uniform(0.5, 1.5, (Bn, L, D)), np.float64)
+    err = check_scalar_fn(lambda ts: T.tsum(T.mul(scan_core(*ts, reverse=reverse), r)),
+                          [u, delta, A, B, C, Dsk])
+    assert err < TOL
+
+
 # ---------------------------------------------------------------------------
-# Selective wrapper and the Vim block
+# The Vim mixer: one record, equal to its per-op composition
+# ---------------------------------------------------------------------------
+
+def mixer_inputs(rng, Bn, L, d, s, dtype):
+    """u_lin, z and a block's weights, all in ``dtype``; the biases, zero at
+    initialization, are drawn so that their adjoints are exercised."""
+    w = VimBlockWeights(rng, d=d, s=s)
+    for p in (w.conv_b, w.b_in, w.b_gate, w.b_out, w.norm_b):
+        p.data = rng.uniform(-0.5, 0.5, p.shape)
+    w.astype(dtype)
+    u_lin, z = (rng.standard_normal((Bn, L, 2 * d)).astype(dtype) for _ in range(2))
+    return u_lin, z, w
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_vim_block_equals_per_op_composition_bit_for_bit(mode, monkeypatch):
+    # the mixer runs each op's own forward and adjoint, and adds u's gradient
+    # terms in the per-op tape's order, so the block's output and the
+    # gradients of its input and of every weight keep every byte; L spans
+    # three passes of the state loops
+    short_passes(monkeypatch)
+    dtype = DTYPES[mode]
+    rng = np.random.default_rng(21)
+    _, _, w = mixer_inputs(rng, 1, 1, d=4, s=3, dtype=dtype)
+    X_np = rng.standard_normal((2, 2 * CHUNK + 3, 4)).astype(dtype)
+    r = T.Tensor(rng.standard_normal(X_np.shape), dtype)
+    runs = []
+    for block in (vim_block, composed_vim_block):
+        X = T.Tensor(X_np, dtype)
+        with T.Tape() as tape:
+            out = block(X, w)
+            loss = T.tsum(T.mul(out, r))
+        names = [T.record_name(fn) for _, _, fn in tape]
+        grads = T.backward(tape, loss)
+        runs.append((out, names, [T.grad_of(grads, t) for t in [X, *w.parameters()]]))
+    (out, names, grads), (ref_out, ref_names, ref_grads) = runs
+    assert names == ["tensor.token_norm", "tensor.linear", "tensor.linear", "ssm.scan_core",
+                     "tensor.linear", "tensor.add", "tensor.mul", "tensor.tsum"]
+    assert len(ref_names) == len(names) + 18
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == ref_out.data.tobytes()
+    for g, ref in zip(grads, ref_grads, strict=True):
+        assert g.dtype == ref.dtype == dtype
+        assert g.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_mixer_equals_per_op_composition_bit_for_bit(mode):
+    # the mixer alone, under a gradient with -0.0 entries and an inf, with
+    # Bn > 1 so the weight gradients' batch sums are compared, and in one
+    # pass of the state loops
+    dtype = DTYPES[mode]
+    rng = np.random.default_rng(22)
+    u_np, z_np, w = mixer_inputs(rng, 3, CHUNK + 5, d=3, s=2, dtype=dtype)
+    g = T.Tensor(relu_like_gradient(rng, u_np.shape, dtype), dtype)
+    runs = []
+    for mixer in (ssm.scan_core, composed_mixer):
+        u_lin, z = T.Tensor(u_np, dtype), T.Tensor(z_np, dtype)
+        with np.errstate(invalid="ignore"), T.Tape() as tape:
+            out = mixer(u_lin, z, w)
+            loss = T.tsum(T.mul(out, g))
+        with np.errstate(invalid="ignore"):
+            grads = T.backward(tape, loss)
+        runs.append((out.data, [T.grad_of(grads, t) for t in [u_lin, z, *w.parameters()]]))
+    (out, grads), (ref_out, ref_grads) = runs
+    assert out.tobytes() == ref_out.tobytes()
+    for gr, ref in zip(grads, ref_grads, strict=True):
+        assert gr.tobytes() == ref.tobytes()
+
+
+def test_mixer_record_keeps_only_its_inputs():
+    # delta, B, C, u and both directions' [L, Bn, S, E] states are rebuilt
+    # by the backward, so the record keeps u_lin and z (the weights are the
+    # block's, which the caller holds) and nothing the forward made
+    rng = np.random.default_rng(23)
+    u_lin, z, w = mixer_inputs(rng, 2, 64, d=8, s=4, dtype=np.float64)
+    kept = kept_bytes(ssm.scan_core, u_lin, z, w)
+    assert u_lin.nbytes + z.nbytes <= kept <= u_lin.nbytes + z.nbytes + RECORD_OVERHEAD
+
+
+def test_mixer_rejects_mismatched_sequences():
+    w = VimBlockWeights(np.random.default_rng(0), d=3)
+    u_lin = T.Tensor(np.zeros((2, 5, 6)))
+    with pytest.raises(DimensionError):
+        ssm.scan_core(u_lin, T.Tensor(np.zeros((2, 4, 6))), w)
+    with pytest.raises(DimensionError):
+        ssm.scan_core(T.Tensor(np.zeros((2, 5, 4))), T.Tensor(np.zeros((2, 5, 4))), w)
+
+
+# ---------------------------------------------------------------------------
+# Entry points, the oracle's wrapper and the Vim block
 # ---------------------------------------------------------------------------
 
 _UNBATCHED_CALLS = {
@@ -240,6 +421,8 @@ _UNBATCHED_CALLS = {
                                                    T.Tensor(np.zeros(3))),
     "selective_scan": lambda: selective_scan(T.Tensor(np.zeros((5, 3))),
                                              SsmParams(np.random.default_rng(0), d=3)),
+    "mixer": lambda: ssm.scan_core(T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros((5, 6))),
+                                   VimBlockWeights(np.random.default_rng(0), d=3)),
     "map_to_tokens": lambda: map_to_tokens(T.Tensor(np.zeros((2, 2, 2)))),
     "tokens_to_map": lambda: tokens_to_map(T.Tensor(np.zeros((4, 2))), (2, 2)),
     "patch_embed": lambda: PatchEmbed(np.random.default_rng(0), 2, 3, 5, (2, 2))(
@@ -277,7 +460,7 @@ def test_vim_block_rejects_wrong_width():
 
 
 def scan_pair(u: T.Tensor, p_fwd: SsmParams, p_bwd: SsmParams) -> T.Tensor:
-    """The sum of a forward and a reversed scan, as ``vim_block`` forms it."""
+    """The sum of a forward and a reversed scan, as the mixer forms it."""
     return T.add(selective_scan(u, p_fwd), selective_scan(u, p_bwd, reverse=True))
 
 

@@ -203,16 +203,19 @@ def test_backward_equals_copy_everything_sweep_bit_for_bit(mode):
     leaves = {key for key in ref if key not in produced}
     assert all(isinstance(t, T.Tensor) for t in leaves)
     assert set(grads) == leaves
-    assert (len(grads), len(ref)) == (314, 715)
+    assert (len(grads), len(ref)) == (314, 571)
     for t in leaves:
         assert grads[t].dtype == ref[t].dtype
         assert grads[t].tobytes() == ref[t].tobytes()
 
 
 def test_backward_frees_consumed_gradients():
-    # tracemalloc counts numpy's buffers exactly, so these figures repeat;
-    # a sweep that keeps dead gradients again retains ~5x as much
+    # tracemalloc counts numpy's buffers exactly, so these figures repeat.
+    # The sweep keeps the leaves' gradients (749 KB) and views' bases
+    # (60 KB); a sweep that keeps dead gradients again retains 2.5 MB, and
+    # 3.4 MB when the Vim mixer was 19 records
     tape, loss = micro_training_tape()
+    produced = {out_key for _, out_key, _ in tape}
     traced = []
     for sweep in (reference_backward, T.backward):
         tracemalloc.start()
@@ -221,10 +224,12 @@ def test_backward_frees_consumed_gradients():
             traced.append(tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        if sweep is reference_backward:
+            leaf_bytes = sum(g.nbytes for key, g in grads.items() if key not in produced)
         del grads
     (ref_retained, ref_peak), (retained, peak) = traced
     assert peak < 0.5 * ref_peak
-    assert retained < 0.25 * ref_retained
+    assert retained < 1.1 * leaf_bytes < 0.4 * ref_retained
 
 
 def test_shape_mismatch_raises():
