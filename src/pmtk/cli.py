@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .data import (SynthConfig, image_path, load_dataset, load_image,
-                   save_dataset, save_image, split, synth_generate)
+                   save_dataset, save_image, split, synth_sample)
 from .errors import ConfigError, DataError, PmtkError
 from .gradcheck import TOL, check_model_micro, run_gradient_suite
 from .model import (LOG_HEADER, TOTAL_STRIDE, PMamba, StagePlan, TrainConfig,
@@ -100,8 +100,11 @@ def cmd_synth(args) -> int:
     cfg = SynthConfig(seed=args.seed, count=args.count, size=args.size,
                       noise_sigma=args.noise_sigma, shadow_prob=args.shadow_prob,
                       deform=args.deform)
-    train, val, test = split(synth_generate(cfg), seed=args.seed)
-    save_dataset(args.output, {"train": train, "val": val, "test": test})
+    # split the indices, then generate each sample as it is written, so one
+    # sample is in memory at a time
+    parts = split(range(cfg.count), seed=args.seed)
+    save_dataset(args.output, {name: (synth_sample(cfg, i) for i in part)
+                               for name, part in zip(("train", "val", "test"), parts)})
     write_config(str(Path(args.output) / "synth.config"), args)
     return 0
 

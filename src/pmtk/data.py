@@ -3,7 +3,14 @@
 The generator draws one deformed dark ellipse (the target) on a brighter
 smooth background, multiplies by Rayleigh speckle and occasionally casts a
 dark wedge shadow across the scene. Every sample is fully determined by
-``cfg.seed ^ index``, so generation is reproducible and order-independent.
+``cfg.seed ^ index``, so generation is reproducible and order-independent:
+``synth_sample(cfg, index)`` builds one sample, ``synth_generate`` the list.
+
+A sample's maps are broadcasts of one coordinate column and row, updated in
+place and freed after their last use, so a 512x512 sample peaks at ~9 MB of
+transients. Splitting ``range(count)`` and handing ``save_dataset`` one
+generator per split writes a dataset with one sample in memory at a time
+(``pmtk synth``).
 
 On-disk datasets are plain directories: ``images/<id>.pgm``,
 ``masks/<id>.pgm`` (mask pixels 0 or 255) and ``manifest.csv`` with columns
@@ -49,17 +56,23 @@ class SynthConfig:
             raise ConfigError("noise_sigma and deform must be nonnegative")
 
 
-def _one_sample(cfg: SynthConfig, index: int) -> Sample:
+def synth_sample(cfg: SynthConfig, index: int) -> Sample:
+    """Sample ``index`` of the dataset ``cfg`` describes.
+
+    Each map is the broadcast of a coordinate column and row, is updated in
+    place and is dropped after its last use, so one sample holds a few
+    full-size maps at a time.
+    """
     rng = np.random.default_rng(cfg.seed ^ index)
     size = cfg.size
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    coord = np.arange(size, dtype=np.float64)
+    yy, xx = coord[:, None], coord[None, :]
 
     # Smooth background, brighter than the cavity (echo-like contrast ~0.4).
     base = rng.uniform(0.5, 0.65)
     # slope bounded so the gradient's own spatial variance, (gx^2+gy^2)/12,
     # stays under the 1e-3 noise-free within-region budget
     gx, gy = rng.uniform(-0.07, 0.07, size=2)
-    background = base + gx * (xx / size - 0.5) + gy * (yy / size - 0.5)
     inside_level = base - 0.4
 
     # Deformed rotated ellipse: r(phi) = r0(phi) * (1 + deform*sin(m*phi+phi0)).
@@ -69,13 +82,28 @@ def _one_sample(cfg: SynthConfig, index: int) -> Sample:
     theta = rng.uniform(0.0, np.pi)
     lobes = rng.integers(2, 5)
     phi0 = rng.uniform(0.0, 2.0 * np.pi)
-    xr = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
-    yr = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
-    phi = np.arctan2(yr, xr)
-    wobble = 1.0 + cfg.deform * np.sin(lobes * phi + phi0)
-    mask = (xr / (a * wobble)) ** 2 + (yr / (b * wobble)) ** 2 <= 1.0
+    cos, sin = np.cos(theta), np.sin(theta)
+    xr = (xx - cx) * cos + (yy - cy) * sin
+    yr = -(xx - cx) * sin + (yy - cy) * cos
+    wobble = np.arctan2(yr, xr)        # phi, then 1 + deform*sin(lobes*phi + phi0)
+    wobble *= lobes
+    wobble += phi0
+    np.sin(wobble, out=wobble)
+    wobble *= cfg.deform
+    wobble += 1.0
+    xr /= a * wobble
+    wobble *= b
+    yr /= wobble
+    del wobble
+    np.square(xr, out=xr)
+    np.square(yr, out=yr)
+    xr += yr
+    del yr
+    mask = xr <= 1.0
+    del xr
 
-    image = np.where(mask, inside_level, background)
+    image = base + gx * (xx / size - 0.5) + gy * (yy / size - 0.5)
+    np.copyto(image, inside_level, where=mask)
 
     if rng.uniform() < cfg.shadow_prob:
         # Dark wedge: angular sector from a random border point through the scene.
@@ -91,25 +119,41 @@ def _one_sample(cfg: SynthConfig, index: int) -> Sample:
             sx = size - 1.0
         direction = np.arctan2(cy - sy, cx - sx)
         half_width = rng.uniform(0.1, 0.25)
+        # each pixel's bearing from (sy, sx) less direction, wrapped to
+        # (-pi, pi] as the angle of exp(i * bearing)
         ang = np.arctan2(yy - sy, xx - sx)
-        diff = np.angle(np.exp(1j * (ang - direction)))
-        image = np.where(np.abs(diff) < half_width, image * 0.55, image)
+        ang -= direction
+        turn = 1j * ang
+        del ang
+        np.exp(turn, out=turn)
+        diff = np.angle(turn)
+        del turn
+        np.abs(diff, out=diff)
+        np.multiply(image, 0.55, out=image, where=diff < half_width)
+        del diff
 
     if cfg.noise_sigma > 0:
-        eta = rng.rayleigh(scale=1.0, size=image.shape) - RAYLEIGH_MEAN
-        image = image * (1.0 + cfg.noise_sigma * eta)
+        speckle = rng.rayleigh(scale=1.0, size=image.shape)
+        speckle -= RAYLEIGH_MEAN
+        speckle *= cfg.noise_sigma
+        speckle += 1.0
+        image *= speckle
+        del speckle
 
-    image = np.clip(image, 0.0, 1.0)
+    np.clip(image, 0.0, 1.0, out=image)
     return Sample(id=f"s{index:05d}", image=image[None], mask=mask.astype(np.int64))
 
 
 def synth_generate(cfg: SynthConfig) -> list:
-    return [_one_sample(cfg, i) for i in range(cfg.count)]
+    return [synth_sample(cfg, i) for i in range(cfg.count)]
 
 
 def split(samples, seed: int = 0) -> tuple:
     """Deterministic (train, val, test) partition of a seeded permutation:
-    val and test each take int(0.1 * n) samples, train the remaining ~80%."""
+    val and test each take int(0.1 * n) samples, train the remaining ~80%.
+
+    ``samples`` is any sequence: split ``range(n)`` to partition indices
+    the way the samples themselves would be partitioned."""
     if not samples:
         raise DataError("cannot split an empty sample list")
     n = len(samples)
@@ -194,7 +238,10 @@ def load_mask(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def save_dataset(root, splits: dict) -> None:
-    """Write {"train": [...], "val": [...], "test": [...]} as a directory."""
+    """Write {"train": [...], "val": [...], "test": [...]} as a directory.
+
+    Each split may be any iterable of samples; a generator is consumed one
+    sample at a time as its files are written."""
     root = Path(root)
     (root / "images").mkdir(parents=True, exist_ok=True)
     (root / "masks").mkdir(parents=True, exist_ok=True)

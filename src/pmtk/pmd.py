@@ -209,8 +209,10 @@ def _plane_positions(shape: tuple, *index_sets: np.ndarray) -> tuple:
 def _measurement_masks(u0: np.ndarray) -> tuple:
     """Split pixels by the initial gradient magnitude: flat set vs edge set."""
     mag = _forward_diff(u0)[2]
-    flat = mag <= np.median(mag)
-    edge = mag >= np.quantile(mag, 0.9)
+    # both order statistics from one scratch copy, which each partitions in place
+    scratch = mag.copy()
+    flat = mag <= np.median(scratch, overwrite_input=True)
+    edge = mag >= np.quantile(scratch, 0.9, overwrite_input=True)
     return flat, edge
 
 

@@ -1,11 +1,14 @@
 """Generator contracts, split arithmetic, and PGM round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtk.data import (
+    RAYLEIGH_MEAN,
     Sample,
     SynthConfig,
     load_dataset,
@@ -15,6 +18,7 @@ from pmtk.data import (
     save_image,
     split,
     synth_generate,
+    synth_sample,
 )
 from pmtk.errors import ConfigError, DataError, FormatError
 
@@ -92,6 +96,92 @@ def test_noise_sigma_zero_reproduces_geometry_of_noisy_run():
     clean = synth_generate(SynthConfig(seed=9, count=4, size=32, noise_sigma=0.0))
     for a, b in zip(noisy, clean):
         np.testing.assert_array_equal(a.mask, b.mask)
+
+
+def full_grid_sample(cfg: SynthConfig, index: int) -> Sample:
+    """The generator over a full ``np.mgrid`` coordinate grid, every map kept
+    until it returns: the reference ``synth_sample`` must equal byte for
+    byte, with the same rng draws in the same order."""
+    rng = np.random.default_rng(cfg.seed ^ index)
+    size = cfg.size
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+
+    base = rng.uniform(0.5, 0.65)
+    gx, gy = rng.uniform(-0.07, 0.07, size=2)
+    background = base + gx * (xx / size - 0.5) + gy * (yy / size - 0.5)
+    inside_level = base - 0.4
+
+    cy, cx = rng.uniform(0.4 * size, 0.6 * size, size=2)
+    a = rng.uniform(0.14 * size, 0.30 * size)
+    b = rng.uniform(0.14 * size, 0.30 * size)
+    theta = rng.uniform(0.0, np.pi)
+    lobes = rng.integers(2, 5)
+    phi0 = rng.uniform(0.0, 2.0 * np.pi)
+    xr = (xx - cx) * np.cos(theta) + (yy - cy) * np.sin(theta)
+    yr = -(xx - cx) * np.sin(theta) + (yy - cy) * np.cos(theta)
+    phi = np.arctan2(yr, xr)
+    wobble = 1.0 + cfg.deform * np.sin(lobes * phi + phi0)
+    mask = (xr / (a * wobble)) ** 2 + (yr / (b * wobble)) ** 2 <= 1.0
+
+    image = np.where(mask, inside_level, background)
+
+    if rng.uniform() < cfg.shadow_prob:
+        sy, sx = rng.uniform(0.0, size, size=2)
+        edge = rng.integers(4)
+        if edge == 0:
+            sy = 0.0
+        elif edge == 1:
+            sy = size - 1.0
+        elif edge == 2:
+            sx = 0.0
+        else:
+            sx = size - 1.0
+        direction = np.arctan2(cy - sy, cx - sx)
+        half_width = rng.uniform(0.1, 0.25)
+        ang = np.arctan2(yy - sy, xx - sx)
+        diff = np.angle(np.exp(1j * (ang - direction)))
+        image = np.where(np.abs(diff) < half_width, image * 0.55, image)
+
+    if cfg.noise_sigma > 0:
+        eta = rng.rayleigh(scale=1.0, size=image.shape) - RAYLEIGH_MEAN
+        image = image * (1.0 + cfg.noise_sigma * eta)
+
+    image = np.clip(image, 0.0, 1.0)
+    return Sample(id=f"s{index:05d}", image=image[None], mask=mask.astype(np.int64))
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"shadow_prob": 0.0}, {"shadow_prob": 1.0}, {"noise_sigma": 0.0}, {"deform": 0.0},
+], ids=["defaults", "no-shadow", "shadow", "no-noise", "no-deform"])
+@pytest.mark.parametrize("size", [32, 96, 160, 512])
+def test_synth_sample_equals_full_grid_oracle_byte_for_byte(size, overrides):
+    seeds = (0, 9) if size == 512 else (0, 3, 9, 14)
+    for seed in seeds:
+        cfg = SynthConfig(seed=seed, count=1, size=size, **overrides)
+        for index in range(3):
+            got, want = synth_sample(cfg, index), full_grid_sample(cfg, index)
+            assert got.id == want.id
+            for name in ("image", "mask"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+                assert g.tobytes() == w.tobytes(), (name, seed, index)
+
+
+def test_one_512_sample_peaks_under_12_mb():
+    # A shadowed 512x512 sample, whose wedge adds two complex128 maps. With
+    # every map over a full coordinate grid and kept until the sample
+    # returned, it peaked at 27.5 MB; with maps broadcast from a coordinate
+    # row and column, updated in place and dropped after their last use, it
+    # peaks at 8.8 MB. tracemalloc counts numpy's buffers exactly, so the
+    # figure repeats.
+    cfg = SynthConfig(count=1, size=512, shadow_prob=1.0)
+    tracemalloc.start()
+    try:
+        synth_sample(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,17 @@ def test_denoise_log_on_constant_image_uses_every_pixel():
         assert out.tobytes() == u0.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(16, 12), (5, 7), (1, 9), (2, 8, 10)])
+def test_measurement_masks_equal_their_first_definition(shape):
+    # the median and the quantile share one scratch copy of the magnitudes,
+    # which each partitions in place; rounding makes ties
+    u0 = np.round(np.random.default_rng(5).uniform(0.0, 1.0, shape), 1)
+    mag = _forward_diff(u0)[2]
+    flat, edge = _measurement_masks(u0)
+    np.testing.assert_array_equal(flat, mag <= np.median(mag))
+    np.testing.assert_array_equal(edge, mag >= np.quantile(mag, 0.9))
+
+
 @pytest.mark.parametrize("shape", [(5, 7), (1, 9), (9, 1), (2, 4, 6)])
 def test_forward_neighbours_give_forward_diff_magnitude(shape):
     u = np.random.default_rng(4).uniform(0.0, 1.0, shape)
