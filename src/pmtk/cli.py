@@ -212,6 +212,13 @@ def _int_list(text: str) -> list:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy's generators take a seed."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser as it was
@@ -238,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="materialize a synthetic dataset directory")
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--count", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--noise-sigma", type=float, default=0.3)
     p.add_argument("--shadow-prob", type=float, default=0.3)
@@ -251,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on one split")
@@ -267,13 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--s", type=int, default=8)
     p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--model", action="store_true",
                    help="also probe the assembled micro model (slower)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -48,8 +48,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
-        if self.size % 32:
-            raise ConfigError(f"size must be divisible by 32, got {self.size}")
+        if self.size < 32 or self.size % 32:
+            raise ConfigError(f"size must be a positive multiple of 32, got {self.size}")
         if not 0.0 <= self.shadow_prob <= 1.0:
             raise ConfigError(f"shadow_prob must be in [0,1], got {self.shadow_prob}")
         if self.noise_sigma < 0 or self.deform < 0:

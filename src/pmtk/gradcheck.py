@@ -127,18 +127,34 @@ def _weighted_sum(out, r):
 
 
 def _fam_elementwise(rng):
+    # silu, softplus and exp run inside scan_core, whose family probes them
     x = _signed(rng, (3, 4))
     y = _signed(rng, (3, 4))
     r = rng.uniform(0.5, 1.5, (3, 4))
 
     def f(ts):
         a, b = ts
-        out = T.add(T.mul(T.relu(a), b), T.silu(a))
-        out = T.add(out, T.softplus(b))
-        out = T.add(out, T.exp(T.scale(a, 0.5)))
-        return _weighted_sum(out, r)
+        return _weighted_sum(T.add(T.mul(T.relu(a), b), T.scale(a, 0.5)), r)
 
     return check_scalar_fn(f, [x, y])
+
+
+def _fam_shape_movers(rng):
+    """concat, reshape, transpose and add_bcast as the model chains them:
+    the sobel plan's concat, ``PatchEmbed`` without its projection, and
+    ``tokens_to_map``."""
+    a = _signed(rng, (2, 1, 4, 6))
+    b = _signed(rng, (2, 2, 4, 6))
+    pos = _signed(rng, (6, 12))
+    r = rng.uniform(0.5, 1.5, (2, 12, 2, 3))
+
+    def f(ts):
+        x = T.concat(ts[:2], axis=1)                          # [2,3,4,6]
+        x = T.transpose(T.reshape(x, (2, 3, 2, 2, 3, 2)), (0, 2, 4, 1, 3, 5))
+        x = T.add_bcast(T.reshape(x, (2, 6, 12)), ts[2])      # 6 patches of 2x2x3
+        return _weighted_sum(T.reshape(T.transpose(x, (0, 2, 1)), (2, 12, 2, 3)), r)
+
+    return check_scalar_fn(f, [a, b, pos])
 
 
 def _fam_linear(rng):
@@ -167,15 +183,6 @@ def _fam_conv2d(rng):
             lambda ts, s=stride, p=pad, rr=r: _weighted_sum(T.conv2d(ts[0], ts[1], s, p), rr),
             [x, w]))
     return worst
-
-
-def _fam_depthwise_conv1d(rng):
-    x = _signed(rng, (2, 6, 3))
-    w = _signed(rng, (3, 3))
-    b = _signed(rng, (3,))
-    r = rng.uniform(0.5, 1.5, (2, 6, 3))
-    return check_scalar_fn(
-        lambda ts: _weighted_sum(T.depthwise_conv1d(ts[0], ts[1], ts[2]), r), [x, w, b])
 
 
 def _fam_norm(rng):
@@ -231,7 +238,8 @@ def _fam_diffusion(rng):
 
 
 def _fam_scan_core(rng):
-    """The Vim mixer's gradients: u_lin, z and every weight it reads.
+    """The Vim mixer's gradients: u_lin, z and every weight it reads, so
+    the adjoints of its depthwise conv, SiLUs, softplus and exp as well.
 
     Bn > 1, so the batch sums of the weight gradients are probed. (The
     scans' passes over time are checked against an unchunked reference bit
@@ -267,9 +275,9 @@ def _fam_pmd_block(rng):
 
 FAMILIES = {
     "elementwise": _fam_elementwise,
+    "shape_movers": _fam_shape_movers,
     "linear": _fam_linear,
     "conv2d": _fam_conv2d,
-    "depthwise_conv1d": _fam_depthwise_conv1d,
     "norm": _fam_norm,
     "bilinear_upsample": _fam_upsample,
     "softmax_cross_entropy": _fam_cross_entropy,

@@ -532,6 +532,14 @@ class AblateConfig:
     size: int = 64
     batch_size: int = 8
 
+    def __post_init__(self):
+        # a run's row is its last epoch's validation of int(0.1 * count) samples
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
+        if self.count < 10:
+            raise ConfigError(f"count must be at least 10 for a validation split, "
+                              f"got {self.count}")
+
 
 def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
     """Train every variant under identical data/seed/budget per seed.
@@ -553,10 +561,10 @@ def ablate(cfg: AblateConfig = AblateConfig()) -> dict:
             plan = StagePlan(preprocess=VARIANTS[variant])
             tcfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
                                lr=cfg.lr, seed=seed, size=cfg.size, plan=plan)
-            model, _ = train_toy(train_set, val_set, tcfg)
-            _, means = evaluate(model, val_set, cfg.batch_size)
-            runs.append((variant, seed, means["precision"], means["recall"],
-                         means["dice"]))
+            # train_toy validated the trained model at this batch size last
+            last = train_toy(train_set, val_set, tcfg)[1][-1]
+            runs.append((variant, seed, last["val_precision"], last["val_recall"],
+                         last["val_dice"]))
     summary = []
     for variant in cfg.variants:
         rows = [r for r in runs if r[0] == variant]

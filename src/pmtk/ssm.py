@@ -27,7 +27,9 @@ projections -> the mixer -> output projection -> + input. The mixer,
 ``scan_core``, is one tape primitive: short depthwise conv + SiLU, a forward
 and a reversed scan, their sum, and the SiLU gate. As in Mamba's kernel
 (Gu & Dao, arXiv 2312.00752, §3.3.2), its record keeps only its inputs and
-weights, and its backward rebuilds everything else.
+weights, and its backward rebuilds everything else. Its forward/adjoint
+pairs besides ``T.linear_np`` live here, beside it: ``silu_np``,
+``softplus_np`` and ``depthwise_conv1d_np``.
 """
 
 from __future__ import annotations
@@ -219,7 +221,6 @@ class SsmParams(T.Module):
     """Projections and state matrices for one scan direction over D channels."""
 
     def __init__(self, rng: np.random.Generator, d: int, s: int = 8):
-        self.d = d
         # State decay rates spread over scales 1..s, shared across channels.
         self.A_log = T.Parameter(np.tile(np.log(np.arange(1, s + 1, dtype=np.float64)), (d, 1)))
         self.W_dt = T.uniform_param(rng, (d, d), d)
@@ -302,6 +303,63 @@ class VimBlockWeights(T.Module):
         self.b_out = T.zeros_param((d,))
 
 
+# ---------------------------------------------------------------------------
+# The mixer's pointwise and depthwise forward/adjoint pairs (plain numpy)
+# ---------------------------------------------------------------------------
+
+def _sigmoid_denominator(xd: np.ndarray) -> np.ndarray:
+    """1 + e^-x, the sigmoid's denominator. Where e^-x overflows it is inf,
+    and dividing by it gives exactly 0, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return 1.0 + np.exp(-xd)
+
+
+def silu_np(xd: np.ndarray) -> tuple:
+    """x * sigmoid(x) and its adjoint ``bwd(g) -> (dx,)``, which keeps only
+    ``xd`` and recomputes the sigmoid. Like ``T.linear_np`` and the other
+    pairs here, ``scan_core`` runs it inside its one record."""
+    def bwd(g):
+        s = 1.0 / _sigmoid_denominator(xd)
+        return (g * (s * (1.0 + xd * (1.0 - s))),)
+
+    return xd * (1.0 / _sigmoid_denominator(xd)), bwd
+
+
+def softplus_np(xd: np.ndarray) -> tuple:
+    """log(1 + e^x) and its adjoint ``bwd(g) -> (dx,)``, which keeps ``xd``."""
+    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|): no overflow, and several
+    # times faster than np.logaddexp(0, x)
+    out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
+    # g * sigmoid(x) as one division: g * (1/d) adds a rounding that moves
+    # about a quarter of the gradient entries
+    return out, lambda g: (g / _sigmoid_denominator(xd),)
+
+
+def depthwise_conv1d_np(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> tuple:
+    """Width-3 per-channel convolution along the sequence axis of [B,L,D]
+    ``xd``, zero-padded by one step on each side, plus bias; and its adjoint
+    ``bwd(g) -> (dx, dw, db)``, which keeps the padded input."""
+    B, L, D = xd.shape
+    xp = np.zeros((B, L + 2, D), dtype=xd.dtype)
+    xp[:, 1:L + 1] = xd
+    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2] + bd
+
+    def bwd(g):
+        gp = np.zeros_like(xp)
+        gp[:, :L] += wd[0] * g
+        gp[:, 1:L + 1] += wd[1] * g
+        gp[:, 2:L + 2] += wd[2] * g
+        gx = gp[:, 1:L + 1]
+        gw = np.stack([
+            (xp[:, :L] * g).sum(axis=(0, 1)),
+            (xp[:, 1:L + 1] * g).sum(axis=(0, 1)),
+            (xp[:, 2:L + 2] * g).sum(axis=(0, 1)),
+        ])
+        return gx, gw, g.sum(axis=(0, 1))
+
+    return out, bwd
+
+
 def _scan_inputs(u, p, seq):
     """One direction's six scan inputs from the mixer's u [Bn, L, E], as
     views on ``seq``, and the adjoints of its projections and softplus,
@@ -310,7 +368,7 @@ def _scan_inputs(u, p, seq):
     D_skip."""
     A_log, W_dt, b_dt, W_B, W_C, D_skip = p
     dt_lin, dt_bwd = T.linear_np(u, W_dt, b_dt)
-    delta, softplus_bwd = T.softplus_np(dt_lin)
+    delta, softplus_bwd = softplus_np(dt_lin)
     B, B_bwd = T.linear_np(u, W_B)
     C, C_bwd = T.linear_np(u, W_C)
     args = (u[:, seq], delta[:, seq], np.exp(A_log) * -1.0, B[:, seq], C[:, seq], D_skip)
@@ -367,10 +425,10 @@ def scan_core(u_lin: T.Tensor, z: T.Tensor, w: VimBlockWeights) -> T.Tensor:
     direction's y for the gate from the states its scan backward rebuilds,
     so no forward scan runs twice. The directions run one after the other,
     so one direction's [L, Bn, S, E] buffer, its adjoint G, is live at a
-    time. Every forward and adjoint is the per-op one (``T.linear_np`` and
-    the other ``*_np`` pairs), and u's gradient adds up its terms in the
-    order the per-op tape did, so outputs and gradients equal that
-    composition's bit for bit.
+    time. Every forward and adjoint is an ``*_np`` pair (``T.linear_np`` and
+    this module's), and u's gradient adds up its terms in the order a tape
+    of one record per pair sweeps them, so outputs and gradients equal that
+    per-op composition's (``tests/test_ssm.py``) bit for bit.
     """
     E = w.conv_w.shape[1]
     if u_lin.ndim != 3 or u_lin.shape != z.shape or u_lin.shape[2] != E:
@@ -380,15 +438,15 @@ def scan_core(u_lin: T.Tensor, z: T.Tensor, w: VimBlockWeights) -> T.Tensor:
     ud, zd = u_lin.data, z.data
     conv_w, conv_b, *scan_w = (t.data for t in params)
     dirs = tuple(zip((scan_w[:6], scan_w[6:]), _SEQS))
-    u = T.silu_np(T.depthwise_conv1d_np(ud, conv_w, conv_b)[0])[0]
+    u = silu_np(depthwise_conv1d_np(ud, conv_w, conv_b)[0])[0]
     pre = _scan_forward(u, *dirs[0]) + _scan_forward(u, *dirs[1])
     del u
-    out = pre * T.silu_np(zd)[0]
+    out = pre * silu_np(zd)[0]
 
     def bwd(g):
-        c, conv_bwd = T.depthwise_conv1d_np(ud, conv_w, conv_b)
-        u, silu_bwd = T.silu_np(c)
-        sz, gate_bwd = T.silu_np(zd)
+        c, conv_bwd = depthwise_conv1d_np(ud, conv_w, conv_b)
+        u, silu_bwd = silu_np(c)
+        sz, gate_bwd = silu_np(zd)
         g_pre = g * sz
         del sz
         # the per-op tape swept the reversed direction first
@@ -441,8 +499,10 @@ def scan_complexity_probe(lengths, d: int = 64, s: int = 8, reps: int = 5,
     attention rows, each mixer in ascending L order.
     """
     lengths = list(lengths)
-    if len(lengths) < 4 or any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ConfigError(f"need >= 4 strictly ascending lengths, got {lengths}")
+    if len(lengths) < 4 or lengths[0] < 1 or any(b <= a for a, b in zip(lengths, lengths[1:])):
+        raise ConfigError(f"need >= 4 strictly ascending positive lengths, got {lengths}")
+    if min(reps, d, s) < 1:
+        raise ConfigError(f"reps, d and s must each be at least 1, got {reps}, {d} and {s}")
     rng = np.random.default_rng(seed)
     rows = []
 

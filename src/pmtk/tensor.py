@@ -1,13 +1,14 @@
 """Dense tensor container and a reverse-mode differentiation tape.
 
-The operation set is exactly what the segmentation pipeline needs: elementwise
-arithmetic, linear layers, 3x3/1x1 convolution, batch-stat and token-wise
-normalization, bilinear upsampling, pixelwise softmax cross-entropy, and a few
-shape movers. Every primitive computes its forward value eagerly with numpy
-and, when a tape is active, records a backward closure. Walking the tape in
-reverse of recording order is a valid topological order because the graph is
-built eagerly. The tape is the one instrumentation point: ``FiniteCheck`` is a
-tape that stops at the first non-finite record, named by ``record_name``.
+The ops are those the model, its loss and the gradient checker record: add,
+mul, scale, relu, add_bcast, tsum, reshape, transpose, concat, linear,
+conv2d, norm_affine, token_norm, bilinear_upsample and softmax_cross_entropy
+(``ssm.scan_core`` and ``pmd.pmd_apply`` record through ``record_op``). Every
+primitive computes its forward value eagerly with numpy and, when a tape is
+active, records a backward closure. Walking the tape in reverse of recording
+order is a valid topological order because the graph is built eagerly. The
+tape is the one instrumentation point: ``FiniteCheck`` is a tape that stops
+at the first non-finite record, named by ``record_name``.
 
 A record holds identities, not arrays: a key for each input and for the
 output, and its backward closure. A tensor that a record on the tape
@@ -44,14 +45,16 @@ import numpy as np
 
 from .errors import (ConfigError, DataError, DimensionError, DivergenceError,
                      UsageError)
-from .precision import DEFAULT
+
+# a Tensor's dtype when none is given; every op computes in its inputs' dtype
+DEFAULT = np.dtype(np.float32)
 
 
 class Tensor:
     """Dense row-major float array, wrapped so the tape can track identity.
 
-    ``data`` is cast to ``dtype``, or to ``precision.DEFAULT`` (float32) when
-    none is given, whatever the input's own dtype.
+    ``data`` is cast to ``dtype``, or to ``DEFAULT`` (float32) when none is
+    given, whatever the input's own dtype.
     """
 
     __slots__ = ("data", "_key")
@@ -268,53 +271,6 @@ def relu(x: Tensor) -> Tensor:
     return record_op((x,), out, lambda g: (g * (out > 0),))
 
 
-def _sigmoid_denominator(xd: np.ndarray) -> np.ndarray:
-    """1 + e^-x, the sigmoid's denominator. Where e^-x overflows it is inf,
-    and dividing by it gives exactly 0, so the overflow is not reported."""
-    with np.errstate(over="ignore"):
-        return 1.0 + np.exp(-xd)
-
-
-def silu_np(xd: np.ndarray) -> tuple:
-    """x * sigmoid(x) and its adjoint ``bwd(g) -> (dx,)``, which keeps only
-    ``xd`` and recomputes the sigmoid.
-
-    This and the other ``*_np`` pairs follow ``_standardize``: the public op
-    records ``lambda g: bwd(g)``, and the Vim mixer (``ssm.scan_core``) runs
-    the same forward and adjoint inside its one record.
-    """
-    def bwd(g):
-        s = 1.0 / _sigmoid_denominator(xd)
-        return (g * (s * (1.0 + xd * (1.0 - s))),)
-
-    return xd * (1.0 / _sigmoid_denominator(xd)), bwd
-
-
-def silu(x: Tensor) -> Tensor:
-    out, bwd = silu_np(x.data)
-    return record_op((x,), out, lambda g: bwd(g))
-
-
-def softplus_np(xd: np.ndarray) -> tuple:
-    """log(1 + e^x) and its adjoint ``bwd(g) -> (dx,)``, which keeps ``xd``."""
-    # log(1 + e^x) = max(x, 0) + log1p(e^-|x|): no overflow, and several
-    # times faster than np.logaddexp(0, x)
-    out = np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd)))
-    # g * sigmoid(x) as one division: g * (1/d) adds a rounding that moves
-    # about a quarter of the gradient entries
-    return out, lambda g: (g / _sigmoid_denominator(xd),)
-
-
-def softplus(x: Tensor) -> Tensor:
-    out, bwd = softplus_np(x.data)
-    return record_op((x,), out, lambda g: bwd(g))
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return record_op((x,), out, lambda g: (g * out,))
-
-
 def add_bcast(x: Tensor, b: Tensor) -> Tensor:
     """Add a tensor whose shape equals the trailing extents of ``x``.
 
@@ -514,43 +470,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
         return gx, gw
 
     return record_op((x, w), out, bwd)
-
-
-def depthwise_conv1d_np(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> tuple:
-    """Width-3 per-channel convolution of [B,L,D] ``xd``, plus bias, and its
-    adjoint ``bwd(g) -> (dx, dw, db)``, which keeps the padded input."""
-    B, L, D = xd.shape
-    xp = np.zeros((B, L + 2, D), dtype=xd.dtype)
-    xp[:, 1:L + 1] = xd
-    out = wd[0] * xp[:, :L] + wd[1] * xp[:, 1:L + 1] + wd[2] * xp[:, 2:L + 2] + bd
-
-    def bwd(g):
-        gp = np.zeros_like(xp)
-        gp[:, :L] += wd[0] * g
-        gp[:, 1:L + 1] += wd[1] * g
-        gp[:, 2:L + 2] += wd[2] * g
-        gx = gp[:, 1:L + 1]
-        gw = np.stack([
-            (xp[:, :L] * g).sum(axis=(0, 1)),
-            (xp[:, 1:L + 1] * g).sum(axis=(0, 1)),
-            (xp[:, 2:L + 2] * g).sum(axis=(0, 1)),
-        ])
-        return gx, gw, g.sum(axis=(0, 1))
-
-    return out, bwd
-
-
-def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Width-3 per-channel convolution along the sequence axis of [B,L,D], plus bias.
-
-    Zero padding of one step on each side keeps the sequence length.
-    """
-    if x.ndim != 3:
-        raise DimensionError(f"depthwise_conv1d: input must be [B,L,D], got {x.shape}")
-    if w.shape != (3, x.shape[2]):
-        raise DimensionError(f"depthwise_conv1d: kernel must be [3,{x.shape[2]}], got {w.shape}")
-    out, bwd = depthwise_conv1d_np(x.data, w.data, bias.data)
-    return record_op((x, w, bias), out, lambda g: bwd(g))
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,32 @@ def test_bench_bad_lengths_is_usage_error(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["synth --out d", "train --data d --out m.npz",
+                                     "bench --out b.csv", "gradcheck"],
+                         ids=lambda c: c.split()[0])
+def test_negative_seed_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # numpy's generators take no negative seed; the parser refuses it
+    # before anything runs or is written
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, message", [
+    ("synth --out d --size 0", "size must be a positive multiple of 32, got 0"),
+    ("bench --out b.csv --lengths 8,16,32,64 --reps 0", "reps, d and s must each be at least 1"),
+], ids=["synth", "bench"])
+def test_zero_size_or_reps_exits_1_with_message(tmp_path, monkeypatch, capsys, command, message):
+    # before, synth wrote 0x0 images and bench a CSV of NaN, both exiting 0
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_gradcheck_passes(capsys):
     rc = main(["gradcheck"])
     header, *rows = capsys.readouterr().out.splitlines()

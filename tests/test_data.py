@@ -30,8 +30,10 @@ from pmtk.errors import ConfigError, DataError, FormatError
 def test_config_validation():
     with pytest.raises(ConfigError):
         SynthConfig(count=0)
-    with pytest.raises(ConfigError):
-        SynthConfig(size=48)
+    # 0 and -32 divide by 32 but make no image (a P5 0x0 file for 0)
+    for size in (48, 0, -32):
+        with pytest.raises(ConfigError, match=f"positive multiple of 32, got {size}"):
+            SynthConfig(size=size)
     with pytest.raises(ConfigError):
         SynthConfig(shadow_prob=1.5)
     with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pmtk
 from pmtk import tensor as T
-from pmtk.data import Sample, SynthConfig, synth_generate
+from pmtk.data import Sample, SynthConfig, split, synth_generate
 from pmtk.errors import ConfigError, DimensionError, DivergenceError
 from pmtk.model import (
     BLOCK_K,
@@ -593,3 +593,25 @@ def test_ablate_smoke():
     with pytest.raises(ConfigError, match="unknown variant"):
         ablate(AblateConfig(variants=("full", "fft"), seeds=(0,), count=10,
                             epochs=1, size=32))
+
+
+def test_ablate_row_is_evaluate_of_the_trained_model():
+    # a run's row is read off train_toy's last validation, not evaluated
+    # again; it must equal evaluate() of the model the same config trains
+    cfg = AblateConfig(variants=("full",), seeds=(1,), count=20, epochs=2, size=32)
+    (row,) = ablate(cfg)["runs"]
+    data = SynthConfig(seed=1, count=cfg.count, size=cfg.size, noise_sigma=cfg.noise_sigma)
+    train_set, val_set, _ = split(synth_generate(data), seed=1)
+    model, _ = train_toy(train_set, val_set,
+                         TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
+                                     lr=cfg.lr, seed=1, size=cfg.size))
+    _, means = evaluate(model, val_set, cfg.batch_size)
+    assert row == ("full", 1, means["precision"], means["recall"], means["dice"])
+    assert means["dice"] > 0
+
+
+@pytest.mark.parametrize("field, value", [("epochs", 0), ("count", 9)])
+def test_ablate_config_rejects_runs_without_a_validation(field, value):
+    # no epoch, or int(0.1 * count) = 0 validation samples: no row to read
+    with pytest.raises(ConfigError, match=f"{field} must be at least"):
+        AblateConfig(**{field: value})

@@ -48,23 +48,49 @@ def scan_core(u: T.Tensor, delta: T.Tensor, A: T.Tensor, B: T.Tensor,
     return T.record_op((u, delta, A, B, C, Dskip), y[:, seq], bwd)
 
 
+def silu(x: T.Tensor) -> T.Tensor:
+    """``ssm.silu_np`` as its own tape record."""
+    out, bwd = ssm.silu_np(x.data)
+    return T.record_op((x,), out, bwd)
+
+
+def softplus(x: T.Tensor) -> T.Tensor:
+    """``ssm.softplus_np`` as its own tape record."""
+    out, bwd = ssm.softplus_np(x.data)
+    return T.record_op((x,), out, bwd)
+
+
+def exp(x: T.Tensor) -> T.Tensor:
+    """``np.exp`` as its own tape record."""
+    out = np.exp(x.data)
+    return T.record_op((x,), out, lambda g: (g * out,))
+
+
+def depthwise_conv1d(x: T.Tensor, w: T.Tensor, bias: T.Tensor) -> T.Tensor:
+    """``ssm.depthwise_conv1d_np`` as its own tape record."""
+    out, bwd = ssm.depthwise_conv1d_np(x.data, w.data, bias.data)
+    return T.record_op((x, w, bias), out, bwd)
+
+
 def selective_scan(x: T.Tensor, p: SsmParams, reverse: bool = False) -> T.Tensor:
     """Input-dependent scan of a token sequence [Bn, L, D] as per-op records,
     last token first if ``reverse``."""
-    if x.ndim != 3 or x.shape[2] != p.d:
-        raise DimensionError(f"selective_scan: expected [Bn, L, {p.d}], got {x.shape}")
-    delta = T.softplus(T.linear(x, p.W_dt, p.b_dt))
+    D = p.W_dt.shape[0]
+    if x.ndim != 3 or x.shape[2] != D:
+        raise DimensionError(f"selective_scan: expected [Bn, L, {D}], got {x.shape}")
+    delta = softplus(T.linear(x, p.W_dt, p.b_dt))
     Bmat = T.linear(x, p.W_B)
     Cmat = T.linear(x, p.W_C)
-    A = T.scale(T.exp(p.A_log), -1.0)
+    A = T.scale(exp(p.A_log), -1.0)
     return scan_core(x, delta, A, Bmat, Cmat, p.D_skip, reverse)
 
 
 def composed_mixer(u_lin: T.Tensor, z: T.Tensor, w: VimBlockWeights) -> T.Tensor:
-    """The Vim mixer as the per-op records it replaced, in their order."""
-    u = T.silu(T.depthwise_conv1d(u_lin, w.conv_w, w.conv_b))
+    """The Vim mixer as one record per op, in the order ``ssm.scan_core``'s
+    backward follows, from the mixer's own forward/adjoint pairs."""
+    u = silu(depthwise_conv1d(u_lin, w.conv_w, w.conv_b))
     pre_gate = T.add(selective_scan(u, w.fwd), selective_scan(u, w.bwd, reverse=True))
-    return T.mul(pre_gate, T.silu(z))
+    return T.mul(pre_gate, silu(z))
 
 
 def composed_vim_block(X: T.Tensor, w: VimBlockWeights) -> T.Tensor:
@@ -416,9 +442,6 @@ _UNBATCHED_CALLS = {
     "bilinear_upsample": lambda: T.bilinear_upsample(T.Tensor(np.zeros((2, 4, 4))), 2),
     "softmax_cross_entropy": lambda: T.softmax_cross_entropy(
         T.Tensor(np.zeros((3, 2, 2))), np.zeros((2, 2), dtype=np.int64)),
-    "depthwise_conv1d": lambda: T.depthwise_conv1d(T.Tensor(np.zeros((5, 3))),
-                                                   T.Tensor(np.zeros((3, 3))),
-                                                   T.Tensor(np.zeros(3))),
     "selective_scan": lambda: selective_scan(T.Tensor(np.zeros((5, 3))),
                                              SsmParams(np.random.default_rng(0), d=3)),
     "mixer": lambda: ssm.scan_core(T.Tensor(np.zeros((5, 6))), T.Tensor(np.zeros((5, 6))),
@@ -569,6 +592,15 @@ def test_probe_validates_lengths():
         scan_complexity_probe([64, 128, 256])
     with pytest.raises(ConfigError):
         scan_complexity_probe([64, 128, 128, 256])
+    with pytest.raises(ConfigError, match="positive"):
+        scan_complexity_probe([0, 1, 2, 3])
+
+
+@pytest.mark.parametrize("sizes", [dict(reps=0), dict(d=0), dict(s=0), dict(reps=-1)])
+def test_probe_rejects_sizes_below_one(sizes):
+    # reps 0 averaged no samples into NaN rows; d or s 0 divided by zero
+    with pytest.raises(ConfigError, match="must each be at least 1"):
+        scan_complexity_probe([8, 16, 32, 64], **sizes)
 
 
 def test_probe_row_structure():
