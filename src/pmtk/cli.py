@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--mode", choices=DENOISE_MODES, default="dwt-attenuate")
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=float, default=DiffusionConfig.k)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--dt", type=float, default=None,
                    help=f"time step of --mode fd (default {DiffusionConfig.dt})")
@@ -244,12 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="materialize a synthetic dataset directory")
     p.add_argument("--out", dest="output", required=True)
-    p.add_argument("--count", type=int, default=64)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--shadow-prob", type=float, default=0.3)
-    p.add_argument("--deform", type=float, default=0.15)
+    p.add_argument("--count", type=int, default=SynthConfig.count)
+    p.add_argument("--seed", type=_seed, default=SynthConfig.seed)
+    p.add_argument("--size", type=int, default=SynthConfig.size)
+    p.add_argument("--noise-sigma", type=float, default=SynthConfig.noise_sigma)
+    p.add_argument("--shadow-prob", type=float, default=SynthConfig.shadow_prob)
+    p.add_argument("--deform", type=float, default=SynthConfig.deform)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the toy model on a dataset directory")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, check_finite
 
 RAYLEIGH_MEAN = float(np.sqrt(np.pi / 2.0))
 
@@ -46,14 +46,16 @@ class SynthConfig:
     deform: float = 0.15
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.count < 1:
             raise ConfigError(f"count must be >= 1, got {self.count}")
         if self.size < 32 or self.size % 32:
             raise ConfigError(f"size must be a positive multiple of 32, got {self.size}")
         if not 0.0 <= self.shadow_prob <= 1.0:
             raise ConfigError(f"shadow_prob must be in [0,1], got {self.shadow_prob}")
-        if self.noise_sigma < 0 or self.deform < 0:
-            raise ConfigError("noise_sigma and deform must be nonnegative")
+        check_finite("noise_sigma", self.noise_sigma, positive=False)
+        check_finite("deform", self.deform, positive=False)
 
 
 def synth_sample(cfg: SynthConfig, index: int) -> Sample:

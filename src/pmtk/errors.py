@@ -1,4 +1,7 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit, and the check of a finite
+setting that its configs share."""
+
+import math
 
 
 class PmtkError(Exception):
@@ -27,3 +30,11 @@ class UsageError(PmtkError):
 
 class DivergenceError(PmtkError):
     """Training produced a non-finite value (step size too large for the model)."""
+
+
+def check_finite(name: str, value: float, *, positive: bool = True) -> None:
+    """Raise ConfigError unless ``value`` is finite and above 0, or at least 0
+    if not ``positive``. A NaN passes a plain ``value <= 0`` check."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        kind = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{name} must be {kind} and finite, got {value}")

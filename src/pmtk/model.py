@@ -19,11 +19,13 @@ import math
 import time
 import tracemalloc
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DataError, DimensionError, DivergenceError
+from .errors import (ConfigError, DataError, DimensionError, DivergenceError,
+                     check_finite)
 from .pmd import pmd_apply, sobel_magnitude
 from .ssm import PatchEmbed, VimBlockWeights, tokens_to_map, vim_block
 
@@ -352,7 +354,7 @@ class TrainConfig:
     # The benchmark trains at 0.025 (batch 8) and 0.0125 (batch 2); lower
     # the rate when train_toy raises DivergenceError.
     lr: float = 0.05
-    momentum: float = 0.9
+    momentum: ClassVar[float] = 0.9
     seed: int = 0
     size: int = 64
     plan: StagePlan = field(default_factory=StagePlan)
@@ -363,6 +365,9 @@ class TrainConfig:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be nonnegative, got {self.epochs}")
+        check_finite("lr", self.lr)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _stack(samples) -> tuple:
@@ -539,6 +544,10 @@ class AblateConfig:
         if self.count < 10:
             raise ConfigError(f"count must be at least 10 for a validation split, "
                               f"got {self.count}")
+        check_finite("lr", self.lr)
+        check_finite("noise_sigma", self.noise_sigma, positive=False)
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be nonnegative, got {self.seeds}")
 
 
 def ablate(cfg: AblateConfig = AblateConfig()) -> dict:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, check_finite
 from .wavelet import blocks, merge
 
 MODES = ("as-written", "attenuate")
@@ -70,10 +70,8 @@ class DiffusionConfig:
     mode: str = "attenuate"
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ConfigError(f"contrast constant k must be positive, got {self.k}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        check_finite("contrast constant k", self.k)
+        check_finite("dt", self.dt)
         if self.steps < 0:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.mode not in MODES:
@@ -82,8 +80,7 @@ class DiffusionConfig:
 
 def diffusivity(grad_mag: np.ndarray, k: float) -> np.ndarray:
     """Edge-stopping weight 1/(1+(m/k)^2); 1 at m=0, 0.5 at m=k, 0.1 at m=3k."""
-    if k <= 0:
-        raise ConfigError(f"contrast constant k must be positive, got {k}")
+    check_finite("contrast constant k", k)
     m = np.asarray(grad_mag)
     r = m / k
     return 1.0 / (1.0 + r * r)

@@ -18,9 +18,10 @@ Layouts: the kernels take and return batch-major [Bn, L, D] sequences and
 [Bn, L, S] B and C, like every tape primitive. Inside, the decays abar, the
 states H and the adjoint G are time-major [L, Bn, S, D] in memory as well as
 in shape, so each step of a loop reads and writes Bn*S*D contiguous values.
-The decays and the states are built a pass of time steps at a time into
-scratch buffers (``_states``) and read out pass by pass, so a forward holds
-no [L, Bn, S, D] buffer and a backward holds one, G.
+The decays and the states are built a pass of up to ``PASS_ELEMENTS``
+values (and at least one time step) at a time into scratch buffers
+(``_states``) and read out pass by pass, so a forward holds no
+[L, Bn, S, D] buffer and a backward holds one, G.
 
 ``vim_block`` is the residual token mixer: norm -> parallel input/gate
 projections -> the mixer -> output projection -> + input. The mixer,
@@ -56,10 +57,7 @@ def _time_major(*arrays):
     return [np.ascontiguousarray(a.swapaxes(0, 1)) for a in arrays]
 
 
-# A pass of the state loops takes CHUNK time steps, or more when a step is
-# small, up to PASS_ELEMENTS values per scratch buffer (256 KB in f32), so
-# that short batches do not pay Python's cost per pass many times over
-CHUNK = 32
+# values in a pass's scratch buffer: 256 KB in f32
 PASS_ELEMENTS = 1 << 16
 
 
@@ -85,13 +83,14 @@ def _decays(dt, A_T, out):
 
 def _scratch(dt, A, Bt):
     """An uninitialized buffer for one pass, [steps, Bn, S, D] in the decays'
-    dtype, from the time-major delta [L, Bn, D] and B [L, Bn, S]."""
+    dtype, from the time-major delta [L, Bn, D] and B [L, Bn, S]: as many
+    steps as fit in PASS_ELEMENTS values, and one if a step holds more."""
     step = Bt.shape[1:] + dt.shape[2:]
-    steps = max(CHUNK, PASS_ELEMENTS // math.prod(step))
+    steps = max(1, PASS_ELEMENTS // math.prod(step))
     return np.empty((min(steps, len(dt)),) + step, np.result_type(dt, A))
 
 
-def _states(dt, A, Bt, ut, a_buf=None):
+def _states(dt, A, Bt, ut):
     """The states H over time-major inputs, one pass (``_scratch``) at a time.
 
     ``dt`` = delta [L, Bn, D], ``Bt`` [L, Bn, S] and ``ut`` [L, Bn, D] (a
@@ -101,20 +100,15 @@ def _states(dt, A, Bt, ut, a_buf=None):
     injections B_t (x) delta_t u_t in two scratch buffers, which the next
     pass overwrites, and the loop turns the injections into states in
     place, h_t += abar_t * h_{t-1}. So no [L, Bn, S, D] buffer is made, and
-    the states are the same bits whatever the pass length. ``a_buf``, if
-    given, is the decays' scratch and already holds the first pass's decays.
+    the states are the same bits whatever the pass length.
     """
     A_T = np.ascontiguousarray(A.T)
-    built = a_buf is not None
-    if not built:
-        a_buf = _scratch(dt, A, Bt)
+    a_buf = _scratch(dt, A, Bt)
     h_buf = np.empty_like(a_buf)
     tmp = np.empty_like(a_buf[0])
     before = None
     for t0, n in _passes(len(dt), len(a_buf)):
-        a = a_buf[:n]
-        if t0 or not built:
-            _decays(dt[t0:t0 + n], A_T, a)
+        a = _decays(dt[t0:t0 + n], A_T, a_buf[:n])
         h = h_buf[:n]
         np.einsum("lbs,lbd->lbsd", Bt[t0:t0 + n], dt[t0:t0 + n] * ut[t0:t0 + n], out=h)
         prev = before
@@ -183,10 +177,12 @@ def scan_backward_np(gy, u, delta, A, B, C, Dskip):
         # this pass's G is final: read it out while it is in cache
         GB[c] = (Bt[c, :, None, :] @ G[c])[:, :, 0]
         gBt[c] = (G[c] @ (dt[c] * ut[c])[..., None])[..., 0]
+    # free the G sweep's scratch, the last view of it too, before _states
+    # makes its own: both alive at once raise a training step's peak
+    del a_buf, a
     gCt = np.empty(Bt.shape, np.result_type(G, gyt))
     y = Dskip * u
-    # the last G pass left the first pass's decays in a_buf
-    for t0, a, h, before in _states(dt, A, Bt, ut, a_buf):
+    for t0, a, h, before in _states(dt, A, Bt, ut):
         c = slice(t0, t0 + len(h))
         g = G[c]
         if before is not None:
@@ -197,7 +193,7 @@ def scan_backward_np(gy, u, delta, A, B, C, Dskip):
         y[:, c] += (Ct[c, :, None, :] @ h)[:, :, 0].swapaxes(0, 1)
     G[0] = 0
     gdA = G                                                   # d/d(delta*A) now
-    del a_buf, a, h, before, Bt, Ct
+    del a, h, before, Bt, Ct
     # each sum adds into its first term, and both of GB's products go
     # through one buffer: fewer fresh temporaries, the same bits
     gu = gy * Dskip

@@ -414,6 +414,21 @@ def test_zero_size_or_reps_exits_1_with_message(tmp_path, monkeypatch, capsys, c
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command, message", [
+    ("denoise --in {image} --out o.pgm --k nan",
+     "pmtk: contrast constant k must be positive and finite, got nan"),
+    ("synth --out d --noise-sigma nan",
+     "pmtk: noise_sigma must be nonnegative and finite, got nan"),
+], ids=["denoise", "synth"])
+def test_non_finite_setting_exits_1_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                      image_file, command, message):
+    # before, both exited 0: denoise wrote NaN log rows and a junk PGM
+    monkeypatch.chdir(tmp_path)
+    assert main(command.format(image=image_file).split()) == 1
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [image_file.name]
+
+
 def test_gradcheck_passes(capsys):
     rc = main(["gradcheck"])
     header, *rows = capsys.readouterr().out.splitlines()

@@ -38,6 +38,15 @@ def test_config_validation():
         SynthConfig(shadow_prob=1.5)
     with pytest.raises(ConfigError):
         SynthConfig(noise_sigma=-0.1)
+    for name in ("noise_sigma", "deform"):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=f"{name} must be nonnegative and finite"):
+                SynthConfig(**{name: bad})
+    with pytest.raises(ConfigError):
+        SynthConfig(shadow_prob=float("nan"))
+    # before, numpy's default_rng raised a ValueError at the first sample
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+        SynthConfig(seed=-1)
 
 
 def test_sample_shapes_and_ranges():

@@ -277,10 +277,17 @@ def test_train_toy_deterministic():
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -3),
-                                          ("epochs", -1)])
+                                          ("epochs", -1), ("lr", 0.0), ("lr", -0.05),
+                                          ("lr", math.nan), ("lr", math.inf), ("seed", -1)])
 def test_train_config_rejects_bad_counts(field, value):
     with pytest.raises(ConfigError, match=field.replace("_", " ")):
         TrainConfig(**{field: value})
+
+
+def test_train_config_momentum_is_one_constant():
+    assert TrainConfig.momentum == TrainConfig().momentum == 0.9
+    with pytest.raises(TypeError):
+        TrainConfig(momentum=0.5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -614,4 +621,15 @@ def test_ablate_row_is_evaluate_of_the_trained_model():
 def test_ablate_config_rejects_runs_without_a_validation(field, value):
     # no epoch, or int(0.1 * count) = 0 validation samples: no row to read
     with pytest.raises(ConfigError, match=f"{field} must be at least"):
+        AblateConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", math.nan), ("lr", math.inf),
+    ("noise_sigma", -0.1), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+    ("seeds", (0, -1)),
+])
+def test_ablate_config_rejects_bad_settings(field, value):
+    # caught before any run trains, not by the first run's own configs
+    with pytest.raises(ConfigError, match=f"{field} must be"):
         AblateConfig(**{field: value})

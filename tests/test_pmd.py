@@ -66,6 +66,14 @@ def test_config_validation():
         DiffusionConfig(steps=-1)
     with pytest.raises(ConfigError):
         DiffusionConfig(mode="blur")
+    # NaN passes a `<= 0` check; an inf k or dt gives NaN or a flat weight
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError, match="k must be positive and finite"):
+            DiffusionConfig(k=bad)
+        with pytest.raises(ConfigError, match="k must be positive and finite"):
+            diffusivity(np.ones(3), bad)
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            DiffusionConfig(dt=bad)
 
 
 # ---------------------------------------------------------------------------

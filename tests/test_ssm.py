@@ -9,7 +9,6 @@ from pmtk import tensor as T
 from pmtk.errors import ConfigError, DimensionError
 from pmtk.gradcheck import TOL, check_scalar_fn
 from pmtk.ssm import (
-    CHUNK,
     PatchEmbed,
     SsmParams,
     VimBlockWeights,
@@ -266,31 +265,49 @@ def scan_kept_decays(gy, u, delta, A, B, C, Dskip):
 
 
 def short_passes(monkeypatch):
-    """Passes of the state loops of CHUNK steps whatever a step's size, so
-    that small test shapes span several passes."""
+    """Passes of the state loops of one time step whatever a step's size, so
+    that small test shapes span many passes."""
     monkeypatch.setattr(ssm, "PASS_ELEMENTS", 0)
+
+
+def pass_steps(Bn, L, D, S):
+    """Time steps in one pass of the state loops over [Bn, L, D] inputs
+    with S states."""
+    return len(ssm._scratch(np.zeros((L, Bn, D)), np.zeros((D, S)), np.zeros((L, Bn, S))))
 
 
 @pytest.mark.parametrize("mode", ["f32", "f64"])
 @pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2), (2, 2 * CHUNK + 3, 3, 2)])
+@pytest.mark.parametrize("dims", [(1, 7, 3, 5), (3, 5, 4, 2), (2, 67, 3, 2)])
 def test_scan_kernels_equal_kept_decays_bit_for_bit(dims, reverse, mode, monkeypatch):
     # the kernels rebuild abar and H a pass at a time with the same products
     # in the same order, and their einsum outer products equal the broadcast
     # ones, so y (the forward's, and the backward's from its rebuilt states)
-    # and all six gradients keep every byte, on reversed views too; the
-    # third length makes the states span three passes of CHUNK steps
+    # and all six gradients keep every byte, on reversed views too; here
+    # every pass is one step, so the states span at least five passes
     short_passes(monkeypatch)
+    assert pass_steps(*dims) == 1 and dims[1] >= 5
     check_kernels_against_kept_decays(dims, reverse, DTYPES[mode])
 
 
-@pytest.mark.parametrize("mode", ["f32", "f64"])
-def test_scan_kernels_equal_kept_decays_in_passes_longer_than_chunk(mode):
-    # a step of [Bn, S, D] = [2, 8, 16] is small, so a pass takes up to
-    # PASS_ELEMENTS // 256 steps: here 256 steps, then the last 44
+def test_pass_holds_pass_elements_and_at_least_one_step(monkeypatch):
+    # a pass takes as many steps as fit in PASS_ELEMENTS values, and one
+    # when a single step of Bn * S * D values holds more
     Bn, L, D, S = 2, 300, 16, 8
-    steps = len(ssm._scratch(np.zeros((L, Bn, D)), np.zeros((D, S)), np.zeros((L, Bn, S))))
-    assert CHUNK < steps < L
+    assert pass_steps(Bn, L, D, S) == ssm.PASS_ELEMENTS // (Bn * S * D) == 256
+    assert pass_steps(Bn, 100, D, S) == 100
+    monkeypatch.setattr(ssm, "PASS_ELEMENTS", 3 * Bn * S * D - 1)
+    assert pass_steps(Bn, L, D, S) == 2
+    monkeypatch.setattr(ssm, "PASS_ELEMENTS", Bn * S * D - 1)
+    assert pass_steps(Bn, L, D, S) == 1
+
+
+@pytest.mark.parametrize("mode", ["f32", "f64"])
+def test_scan_kernels_equal_kept_decays_in_passes_of_pass_elements(mode):
+    # a step of [Bn, S, D] = [2, 8, 16] is 256 values, so the default
+    # PASS_ELEMENTS gives a pass of 256 steps, then the last 44
+    Bn, L, D, S = 2, 300, 16, 8
+    assert pass_steps(Bn, L, D, S) == 256
     check_kernels_against_kept_decays((Bn, L, D, S), True, DTYPES[mode])
 
 
@@ -326,11 +343,11 @@ def test_scan_core_record_keeps_no_states_or_decays(reverse):
 @pytest.mark.parametrize("reverse", [False, True])
 def test_scan_core_gradients_match_finite_differences(reverse, monkeypatch):
     # the kernels' adjoint in float64, every input of one direction; Bn > 1
-    # so the batch sums in gA and gDskip are probed, and L > CHUNK so the
-    # state and adjoint loops cross a pass boundary
+    # so the batch sums in gA and gDskip are probed, and passes of one step
+    # so the state and adjoint loops cross every pass boundary
     short_passes(monkeypatch)
     rng = np.random.default_rng(13 + reverse)
-    Bn, L, D, S = 2, CHUNK + 3, 3, 2
+    Bn, L, D, S = 2, 35, 3, 2
     signed = lambda shape: rng.uniform(0.5, 1.5, shape) * rng.choice([-1.0, 1.0], shape)
     u, B, C, Dsk = signed((Bn, L, D)), signed((Bn, L, S)), signed((Bn, L, S)), signed((D,))
     delta = rng.uniform(0.05, 0.6, (Bn, L, D))
@@ -361,12 +378,12 @@ def test_vim_block_equals_per_op_composition_bit_for_bit(mode, monkeypatch):
     # the mixer runs each op's own forward and adjoint, and adds u's gradient
     # terms in the per-op tape's order, so the block's output and the
     # gradients of its input and of every weight keep every byte; L spans
-    # three passes of the state loops
+    # 67 passes of one step
     short_passes(monkeypatch)
     dtype = DTYPES[mode]
     rng = np.random.default_rng(21)
     _, _, w = mixer_inputs(rng, 1, 1, d=4, s=3, dtype=dtype)
-    X_np = rng.standard_normal((2, 2 * CHUNK + 3, 4)).astype(dtype)
+    X_np = rng.standard_normal((2, 67, 4)).astype(dtype)
     r = T.Tensor(rng.standard_normal(X_np.shape), dtype)
     runs = []
     for block in (vim_block, composed_vim_block):
@@ -395,7 +412,7 @@ def test_mixer_equals_per_op_composition_bit_for_bit(mode):
     # pass of the state loops
     dtype = DTYPES[mode]
     rng = np.random.default_rng(22)
-    u_np, z_np, w = mixer_inputs(rng, 3, CHUNK + 5, d=3, s=2, dtype=dtype)
+    u_np, z_np, w = mixer_inputs(rng, 3, 37, d=3, s=2, dtype=dtype)
     g = T.Tensor(relu_like_gradient(rng, u_np.shape, dtype), dtype)
     runs = []
     for mixer in (ssm.scan_core, composed_mixer):
